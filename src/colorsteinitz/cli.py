@@ -10,12 +10,12 @@ import argparse
 import sys
 
 from . import certio
-from .caratheodory import colorful_cone_caratheodory
 from .colorful import (
     BCase,
     ColourSystem,
     Neither,
     PCase,
+    _pivoted_transversal,
     classify,
     colorful_transversal,
 )
@@ -27,11 +27,10 @@ from .oracle import (
     generate,
     min_spanning_partial_size,
 )
-from .ratlin import format_rat, neg
+from .ratlin import format_rat
 from .steinitz import (
     BasisCaseWitness,
     basis_case,
-    generic_direction,
     refine_below_2d,
     steinitz_reduce,
 )
@@ -132,20 +131,13 @@ def cmd_transversal(args):
     instance = _load(args.instance)
     system = _system(instance)
     try:
-        if args.trace:
-            d = system.dim
-            union = [p for s in system.sets for p in s]
-            v = generic_direction(union)
-            first = colorful_cone_caratheodory(v, [system.sets[i] for i in range(d)])
-            second = colorful_cone_caratheodory(
-                neg(v), [system.sets[d + i] for i in range(d)]
-            )
-            _print_trace("forward", first)
-            _print_trace("backward", second)
-        tv, cert = colorful_transversal(system)
+        tv, cert, first, second = _pivoted_transversal(system)
     except NotSpanning as exc:
         print(f"set {exc.colour + 1} does not span; witness w = {_fmt_point(exc.witness.w)}")
         return 1
+    if args.trace:
+        _print_trace("forward", first)
+        _print_trace("backward", second)
     for c, e in tv.picks:
         print(f"colour {c + 1} -> point {e + 1} : {_fmt_point(system.sets[c][e])}")
     _write_cert(args.cert, certio.render_transversal(tv.picks, cert, tv.points(system)))

@@ -371,6 +371,13 @@ def colorful_transversal(system: ColourSystem):
     generic for the union, and run the colorful pivot for v on the first
     half and for -v on the second.
     """
+    tv, cert, _, _ = _pivoted_transversal(system)
+    return tv, cert
+
+
+def _pivoted_transversal(system: ColourSystem):
+    """colorful_transversal's (T, certificate), then the ColorfulResults of
+    the v and -v pivots that chose T."""
     system.check_spanning()
     d = system.dim
     union = [p for s in system.sets for p in s]
@@ -378,13 +385,12 @@ def colorful_transversal(system: ColourSystem):
 
     first = colorful_cone_caratheodory(v, [system.sets[i] for i in range(d)])
     second = colorful_cone_caratheodory(neg(v), [system.sets[d + i] for i in range(d)])
-    picks = [(i, e) for (i, e) in ((c, e) for c, e in first.picks)]
-    picks += [(d + c, e) for c, e in second.picks]
+    picks = list(first.picks) + [(d + c, e) for c, e in second.picks]
     tv = _make_transversal(picks)
     cert = spans_space(tv.points(system))
     if not isinstance(cert, SpanCertificate):  # pragma: no cover
         raise RecursionInvariantViolation("two-sided colorful pivot failed to span")
-    return tv, cert
+    return tv, cert, first, second
 
 
 # ---------------------------------------------------------------------------

@@ -8,34 +8,122 @@ the input is not (at ray level) a plus-minus basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .caratheodory import cone_caratheodory
 from .cones import FarkasWitness, SpanCertificate, spanning, spans_space
-from .errors import NotSpanning, RecursionInvariantViolation
-from .ratlin import in_linear_hull, neg, primitive_ray, rank
+from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
+from .ratlin import neg, null_space, primitive_ray, rank
+
+
+def _primitive(ints):
+    """The integer vector divided by its content, first nonzero entry
+    positive; None for the zero vector."""
+    g = math.gcd(*ints)
+    if g == 0:
+        return None
+    for n in ints:
+        if n:
+            break
+    if n < 0:
+        g = -g
+    return tuple([n // g for n in ints])
+
+
+def _integer_line(p):
+    """Primitive integer vector of the line through the rational point p."""
+    den = math.lcm(*(x.denominator for x in p))
+    return _primitive([x.numerator * (den // x.denominator) for x in p])
+
+
+def _minor_plan(d):
+    """Laplace expansion along the last row, for sizes s = 2..d-1.
+
+    Level s lists, for each s-subset T of the d columns in ``combinations``
+    order, the terms (sign, column, position of the (s-1)-subset T minus
+    that column): the s-minor on T of rows r_1..r_s is the sum over terms
+    of sign * r_s[column] * the (s-1)-minor of r_1..r_{s-1}.  The 1-minors
+    of one row are its entries.
+    """
+    plan = []
+    for s in range(2, d):
+        prev = {c: i for i, c in enumerate(combinations(range(d), s - 1))}
+        plan.append([
+            [((-1) ** (s - 1 + i), c, prev[cols[:i] + cols[i + 1 :]]) for i, c in enumerate(cols)]
+            for cols in combinations(range(d), s)
+        ])
+    return plan
+
+
+def _hull_normals(lines, d, plan):
+    """Integer vectors spanning the orthogonal complement of span(lines).
+
+    d-1 independent lines have one normal, their signed (d-1)-minors (the
+    generalised cross product), made primitive so that equal hulls compare
+    equal.  Otherwise the exact null space basis, which is canonical.
+    """
+    if len(lines) == d - 1:
+        minors = lines[0]
+        for row, level in zip(lines[1:], plan):
+            new = []
+            for terms in level:
+                acc = 0
+                for sign, c, i in terms:
+                    acc += sign * row[c] * minors[i]
+                new.append(acc)
+            minors = new
+        # the (d-1)-subsets run from the one missing column d-1 to the one
+        # missing column 0; cofactor j is (-1)^j times the minor missing j
+        normal = _primitive([(-1) ** j * minors[d - 1 - j] for j in range(d)])
+        if normal is not None:
+            return (normal,)
+    rows = [tuple(Fraction(x) for x in r) for r in lines]
+    return tuple(tuple(int(x) for x in b) for b in null_space(rows, ncols=d))
 
 
 def generic_direction(points):
     """A direction v outside the linear hull of every <= d-1 input points.
 
-    Walks the moment curve (1, t, t^2, ...) for t = 1, 2, ...; each finite
-    rational input rules out only finitely many t, so the walk terminates.
-    The returned v is verified exhaustively against all relevant subsets.
+    Returns v = (1, t, t^2, ..., t^{d-1}) as Fractions for the least integer
+    t >= 1 such that v lies in the linear span of no min(d-1, n) of the n
+    input points.  Each hull is described once: points become primitive
+    integer lines, every min(d-1, L) of the L distinct nonzero lines span
+    one hull (zero points, repeats and antipodes add nothing), and equal
+    hulls are merged by their integer normals.  v(t) is in a hull iff every
+    normal n of it has n . v(t) = 0, an integer test.
+
+    Walk bound: n . v(t) is a nonzero polynomial of degree <= d-1 in t, so
+    each of the H distinct hulls rules out at most d-1 values of t, and
+    some t <= (d-1)*H + 1 is accepted.  Passing that bound raises
+    RecursionInvariantViolation.
     """
     points = list(points)
+    if not points:
+        raise ValueError("generic_direction needs at least one point")
     d = len(points[0])
-    k = min(d - 1, len(points))
-    subsets = [[points[i] for i in s] for s in combinations(range(len(points)), k)]
-    t = 1
-    while True:
-        tf = Fraction(t)
-        v = tuple(tf**i for i in range(d))
-        if all(not in_linear_hull(v, s) for s in subsets):
-            return v
-        t += 1
+    for p in points:
+        if len(p) != d:
+            raise DimensionMismatch(f"point of length {len(p)} among points of length {d}")
+    lines = set(map(_integer_line, points)) - {None}
+    k = min(d - 1, len(lines))
+    # the zero hull (k == 0) contains no v(t), whose first coordinate is 1
+    plan = _minor_plan(d)
+    hulls = {_hull_normals(s, d, plan) for s in combinations(lines, k)} if k else set()
+    for t in range(1, (d - 1) * len(hulls) + 2):
+        powers = [t**i for i in range(d)]
+        for normals in hulls:
+            for n in normals:
+                if sum(map(mul, n, powers)):
+                    break  # v(t) is off this hull
+            else:
+                break  # v(t) is orthogonal to every normal: in this hull
+        else:
+            return tuple(Fraction(x) for x in powers)
+    raise RecursionInvariantViolation("moment-curve walk passed its bound")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line behaviour: dispatch, exit codes, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 from colorsteinitz.checkcert import check_text
@@ -8,6 +10,8 @@ from colorsteinitz.instancefile import InstanceFile, emit_instance
 from colorsteinitz.oracle import generate_bcase, generate_pcase
 
 from conftest import pt as P
+
+RANDOM2 = str(Path(__file__).resolve().parent.parent / "instances" / "random2")
 
 
 def write_system(tmp_path, system, name="inst"):
@@ -74,6 +78,45 @@ class TestReduceRefine:
         assert main(["reduce", path]) == 1
 
 
+# `transversal --trace --cert` on instances/random2, recorded before the trace
+# and the transversal shared one computation
+RANDOM2_TRACE = (
+    "trace forward: initial sqdist 17\n"
+    "pivot colour=0 enter=1 sqdist=1\n"
+    "pivot colour=1 enter=3 sqdist=0\n"
+    "trace backward: initial sqdist 25/13\n"
+    "pivot colour=0 enter=1 sqdist=0\n"
+    "colour 1 -> point 2 : 0 2\n"
+    "colour 2 -> point 4 : 3 1\n"
+    "colour 3 -> point 2 : 2 2\n"
+    "colour 4 -> point 1 : -2 -3\n"
+)
+RANDOM2_CERT = (
+    "CERT transversal\n"
+    "DIM 2\n"
+    "PICK 0 1\n"
+    "PICK 1 3\n"
+    "PICK 2 1\n"
+    "PICK 3 0\n"
+    "GEN 0 0 2\n"
+    "GEN 1 3 1\n"
+    "GEN 2 2 2\n"
+    "GEN 3 -2 -3\n"
+    "DIR 1 0\n"
+    "COEFF 1 3/7\n"
+    "COEFF 3 1/7\n"
+    "DIR 0 1\n"
+    "COEFF 0 1/2\n"
+    "DIR -1 0\n"
+    "COEFF 0 3/4\n"
+    "COEFF 3 1/2\n"
+    "DIR 0 -1\n"
+    "COEFF 1 2/7\n"
+    "COEFF 3 3/7\n"
+    "END\n"
+)
+
+
 class TestTransversal:
     def test_basic(self, bcase_path, capsys):
         assert main(["transversal", bcase_path]) == 0
@@ -86,6 +129,12 @@ class TestTransversal:
         out = capsys.readouterr().out
         assert "trace forward" in out and "trace backward" in out
         assert check_text(cert.read_text()) == ["transversal"]
+
+    def test_trace_golden_random2(self, tmp_path, capsys):
+        cert = tmp_path / "tv.cert"
+        assert main(["transversal", RANDOM2, "--trace", "--cert", str(cert)]) == 0
+        assert capsys.readouterr().out == RANDOM2_TRACE
+        assert cert.read_text() == RANDOM2_CERT
 
     def test_deterministic_output(self, bcase_path, capsys):
         main(["transversal", bcase_path])

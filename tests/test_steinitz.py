@@ -6,8 +6,10 @@ from itertools import combinations
 
 import pytest
 
+from colorsteinitz import steinitz
 from colorsteinitz.cones import SpanCertificate, spanning
-from colorsteinitz.errors import NotSpanning
+from colorsteinitz.errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
+from colorsteinitz.oracle import generate_random
 from colorsteinitz.ratlin import in_linear_hull
 from colorsteinitz.steinitz import (
     BasisCaseWitness,
@@ -39,6 +41,93 @@ class TestGenericDirection:
         v = generic_direction(pts)
         for s in combinations(pts, 2):
             assert not in_linear_hull(v, list(s))
+
+    def test_empty_input_raises_value_error(self):
+        with pytest.raises(ValueError):
+            generic_direction([])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [P(1, 0, 0), P(0, 1), P(0, 0, 1)],
+            [P(1, 2), P(3, 4), P(1, 1, 1)],
+            [P(1), P(1, 1)],
+        ],
+    )
+    def test_mixed_dimensions_raise(self, pts):
+        with pytest.raises(DimensionMismatch):
+            generic_direction(pts)
+
+    def test_walk_bound_is_enforced(self, monkeypatch):
+        # a zero normal puts every v(t) in the hull, so the walk must stop
+        monkeypatch.setattr(steinitz, "_hull_normals", lambda lines, d, plan: ((0,) * d,))
+        with pytest.raises(RecursionInvariantViolation):
+            generic_direction(units(3))
+
+    def test_rank_deficient_hull(self):
+        # three distinct lines spanning only a plane that contains v(1)
+        v = generic_direction([P(1, 1, 1, 1), P(0, 1, 2, 3), P(1, 2, 3, 4)])
+        assert v == P(1, 2, 4, 8)
+
+    def test_matches_subset_walk(self):
+        """Same v as the walk that tests every min(d-1, n)-subset by rref."""
+        cases = _differential_inputs()
+        kinds = {kind for kind, _ in cases}
+        assert kinds == {"integer", "fraction", "repeat", "zero", "few", "flat", "union"}
+        assert {len(pts[0]) for _, pts in cases} == {1, 2, 3, 4}
+        assert len(cases) >= 300
+        for kind, pts in cases:
+            v = generic_direction(pts)
+            assert v == _subset_walk(pts), (kind, pts)
+            assert all(type(x) is Fraction for x in v)
+
+
+def _subset_walk(points):
+    """Reference: the least t whose v(t) no min(d-1, n)-subset spans."""
+    d = len(points[0])
+    subsets = list(combinations(points, min(d - 1, len(points))))
+    t = 1
+    while True:
+        v = tuple(Fraction(t) ** i for i in range(d))
+        if all(not in_linear_hull(v, s) for s in subsets):
+            return v
+        t += 1
+
+
+def _differential_inputs():
+    """Seeded (kind, points) inputs for d = 1..4 and every degenerate kind."""
+    rng = random.Random(2024)
+
+    def point(d, den=1):
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, den)) for _ in range(d))
+
+    cases = []
+    for i in range(320):
+        d = 1 + i % 4
+        kind = ("integer", "fraction", "repeat", "zero", "few", "flat")[i // 4 % 6]
+        if kind == "few":  # fewer than d-1 points when d >= 3
+            pts = [point(d, 2) for _ in range(rng.randint(1, max(1, d - 2)))]
+        elif kind == "flat":  # a plane through v(1) or v(2): rank-deficient hulls
+            plane = [tuple(Fraction(rng.randint(1, 2) ** j) for j in range(d)), point(d)]
+            pts = []
+            for _ in range(rng.randint(2, d + 2)):
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                pts.append(tuple(a * x + b * y for x, y in zip(*plane)))
+        else:
+            pts = [point(d, 3 if kind == "fraction" else 1) for _ in range(rng.randint(2, 7))]
+        if kind == "repeat":  # positive and negative multiples of earlier points
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(pts)
+                pts.append(tuple(Fraction(rng.choice((-2, -1, 1, 3)), 2) * x for x in q))
+        if kind == "zero":
+            pts.insert(rng.randrange(len(pts) + 1), (Fraction(0),) * d)
+        cases.append((kind, pts))
+    # unions of generated colour systems; at d=4 three colours keep the
+    # reference walk short
+    for seed in range(3):
+        cases.append(("union", [p for s in generate_random(3, seed=seed).sets for p in s]))
+        cases.append(("union", [p for s in generate_random(4, seed=seed).sets[:3] for p in s]))
+    return cases
 
 
 def _random_spanning(rng, d, n):
