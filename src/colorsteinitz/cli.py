@@ -19,7 +19,7 @@ from .colorful import (
     classify,
     colorful_transversal,
 )
-from .cones import SpanCertificate, spans_space
+from .cones import refute_spanning, spanning
 from .errors import BudgetExceeded, GeometryError, NotSpanning, ParseError
 from .instancefile import InstanceFile, emit_instance, parse_instance
 from .oracle import (
@@ -70,11 +70,11 @@ def cmd_verify(args):
     instance = _load(args.instance)
     bad = False
     for i, s in enumerate(instance.sets):
-        res = spans_space(s)
-        if isinstance(res, SpanCertificate):
+        if spanning(s):
             print(f"set {i + 1}: spans")
         else:
-            print(f"set {i + 1}: NOT spanning, witness w = {_fmt_point(res.w)}")
+            w = refute_spanning(s).w
+            print(f"set {i + 1}: NOT spanning, witness w = {_fmt_point(w)}")
             bad = True
     return 1 if bad else 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .caratheodory import colorful_cone_caratheodory
-from .cones import FarkasWitness, SpanCertificate, spanning, spans_space
+from .cones import SpanCertificate, refute_spanning, spanning, spans_space
 from .errors import (
     DimensionMismatch,
     NotSpanning,
@@ -65,9 +65,8 @@ class ColourSystem:
 
     def check_spanning(self):
         for i, s in enumerate(self.sets):
-            res = spans_space(s)
-            if isinstance(res, FarkasWitness):
-                raise NotSpanning(res, colour=i)
+            if not spanning(s):
+                raise NotSpanning(refute_spanning(s), colour=i)
 
 
 @dataclass(frozen=True)
@@ -142,9 +141,8 @@ def positive_circuit(points) -> PositiveCircuit:
     one-dimensional null space generated by a strictly same-signed vector.
     """
     points = [tuple(p) for p in points]
-    res = spans_space(tuple(points))
-    if isinstance(res, FarkasWitness):
-        raise NotSpanning(res)
+    if not spanning(points):
+        raise NotSpanning(refute_spanning(points))
     d = len(points[0])
     for size in range(2, d + 2):
         for combo in combinations(range(len(points)), size):

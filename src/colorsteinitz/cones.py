@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ZeroPoint
+from .errors import DimensionMismatch, RecursionInvariantViolation, ZeroPoint
 from .ratlin import (
     Feasible,
     Point,
@@ -18,6 +18,7 @@ from .ratlin import (
     dot,
     is_zero,
     lp_feasibility,
+    neg,
     null_space,
     rank,
     scale,
@@ -115,11 +116,13 @@ def pos_membership(v: Point, generators):
     return FarkasWitness(res.witness, tuple(v))
 
 
-# Process-wide memos.  The functions are pure and their inputs are small
-# immutable tuples; the exhaustive d=2 sweeps hit the same generator tuples
-# millions of times.  _SPAN_CACHE holds certificates keyed on the exact input
-# tuple, _SPAN_BOOL holds booleans keyed on the sorted tuple (spanning is
-# order-invariant).
+# Process-wide memos; the functions are pure and the exhaustive d=2 sweeps
+# ask about the same few generator sets millions of times.  _SPAN_BOOL holds
+# the yes/no answer of spanning() keyed on the point set, because a positive
+# hull depends neither on order nor on repetition, and hashing the frozenset
+# is cheaper than sorting Fraction tuples on every hit.  _SPAN_CACHE holds the
+# certificates of spans_space() keyed on the exact input tuple, since a
+# certificate indexes into that tuple.
 _SPAN_CACHE = {}
 _SPAN_BOOL = {}
 
@@ -166,15 +169,40 @@ def spans_space(generators):
 
 
 def spanning(generators) -> bool:
-    key = tuple(sorted(tuple(tuple(g) for g in generators)))
+    """Decide pos(generators) = R^d with one rank test and at most one LP.
+
+    pos T = R^d iff rank T = d and T has a strictly positive linear
+    dependence (Gordan; Davis 1954).  The LP asks whether -sum(T) lies in
+    pos T: if -sum(T) = sum mu_j t_j with mu >= 0, then lambda = mu + 1 is a
+    strictly positive dependence; conversely, if T spans, every target, this
+    one included, lies in pos T.  When sum(T) = 0 the dependence is all ones
+    and no LP is needed.  Use spans_space() for a certificate either way.
+    """
+    key = frozenset(map(tuple, generators))
     hit = _SPAN_BOOL.get(key)
     if hit is None:
-        # cheap rank prune before the LP-backed certificate machinery
-        hit = rank(list(key)) == len(key[0]) and isinstance(
-            spans_space(key), SpanCertificate
-        )
+        if not key:
+            raise ValueError("generator list must be nonempty")
+        points = sorted(key)
+        d = len(points[0])
+        hit = rank(points) == d  # rank() raises DimensionMismatch on mixed dimensions
+        if hit:
+            total = tuple(sum(c, Fraction(0)) for c in zip(*points))
+            hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
         _SPAN_BOOL[key] = hit
     return hit
+
+
+def refute_spanning(generators) -> FarkasWitness:
+    """The FarkasWitness of spans_space() for a set that spanning() rejects.
+
+    Raises RecursionInvariantViolation if spans_space() certifies the set
+    instead, since the two decisions must agree.
+    """
+    res = spans_space(generators)
+    if not isinstance(res, FarkasWitness):
+        raise RecursionInvariantViolation("spans_space certified a set that spanning rejected")
+    return res
 
 
 def nearest_cone_point(v: Point, generators) -> NearestPoint:

@@ -40,9 +40,14 @@ class _Budget:
             raise BudgetExceeded(f"enumeration budget of {self.limit} checks exceeded")
 
 
-# cones.spanning already sorts its input, applies a rank prune, and memoises
-# process-wide, so permuted transversals and repeated systems share work
+# cones.spanning decides with one rank test and at most one LP, and memoises
+# on the point set process-wide, so permuted transversals and repeated systems
+# share work
 _spanning = spanning
+
+
+def _full_transversal_count(system: ColourSystem) -> int:
+    return sum(1 for pts in product(*system.sets) if _spanning(pts))
 
 
 def count_spanning_transversals(system: ColourSystem, budget=DEFAULT_BUDGET) -> int:
@@ -53,12 +58,7 @@ def count_spanning_transversals(system: ColourSystem, budget=DEFAULT_BUDGET) -> 
         total *= len(s)
     if total > budget:
         raise BudgetExceeded(f"{total} full transversals exceed budget {budget}")
-    count = 0
-    for assignment in product(*(range(len(s)) for s in system.sets)):
-        pts = tuple(system.sets[c][e] for c, e in enumerate(assignment))
-        if _spanning(pts):
-            count += 1
-    return count
+    return _full_transversal_count(system)
 
 
 def min_spanning_partial_size(system: ColourSystem, budget=DEFAULT_BUDGET) -> int:
@@ -97,11 +97,7 @@ def enumerate_report(system: ColourSystem, budget=DEFAULT_BUDGET, count_full=Tru
     spanning_full = None
     if count_full:
         bud.spend(total)
-        spanning_full = 0
-        for assignment in product(*(range(len(s)) for s in system.sets)):
-            pts = tuple(system.sets[c][e] for c, e in enumerate(assignment))
-            if _spanning(pts):
-                spanning_full += 1
+        spanning_full = _full_transversal_count(system)
     return EnumerationReport(total, spanning_full, min_size, witness)
 
 

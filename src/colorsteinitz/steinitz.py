@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import mul
 
 from .caratheodory import cone_caratheodory
-from .cones import FarkasWitness, SpanCertificate, spanning, spans_space
+from .cones import SpanCertificate, refute_spanning, spanning, spans_space
 from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
 from .ratlin import neg, null_space, primitive_ray, rank
 
@@ -138,9 +138,8 @@ class BasisCaseWitness:
 
 
 def _require_spanning(points):
-    res = spans_space(tuple(points))
-    if isinstance(res, FarkasWitness):
-        raise NotSpanning(res)
+    if not spanning(points):
+        raise NotSpanning(refute_spanning(points))
 
 
 def steinitz_reduce(points) -> ReducedSet:

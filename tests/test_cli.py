@@ -117,6 +117,50 @@ RANDOM2_CERT = (
 )
 
 
+# instances/random2 with set 3 replaced by four points in the halfplane x > 0;
+# outputs recorded when every spanning decision still solved 2d LPs
+NOSPAN3 = """dim 2
+set
+-1 -2
+0 2
+-3 -3
+3 1
+set
+-3 -2
+-3 1
+0 -3
+3 1
+set
+1 2
+2 -1
+3 1
+1/2 0
+set
+-2 -3
+1 3
+-2 -1
+0 -2
+"""
+NOSPAN3_GOLDEN = {
+    "verify": (
+        "set 1: spans\n"
+        "set 2: spans\n"
+        "set 3: NOT spanning, witness w = -2 1\n"
+        "set 4: spans\n"
+    ),
+    "classify": "set 3 does not span; witness w = -2 1\n",
+    "transversal": "set 3 does not span; witness w = -2 1\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOSPAN3_GOLDEN))
+def test_non_spanning_golden(command, tmp_path, capsys):
+    path = tmp_path / "nospan3"
+    path.write_text(NOSPAN3)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().out == NOSPAN3_GOLDEN[command]
+
+
 class TestTransversal:
     def test_basic(self, bcase_path, capsys):
         assert main(["transversal", bcase_path]) == 0

@@ -6,20 +6,31 @@ from itertools import combinations
 
 import pytest
 
+from colorsteinitz import cones
+from colorsteinitz.cli import main
+from colorsteinitz.colorful import ColourSystem, positive_circuit
 from colorsteinitz.cones import (
     ConicCertificate,
     FarkasWitness,
     SpanCertificate,
+    clear_span_cache,
     nearest_cone_point,
     pos_membership,
+    refute_spanning,
     separating_witness,
     spanning,
     spans_space,
 )
-from colorsteinitz.errors import DimensionMismatch, ZeroPoint
+from colorsteinitz.errors import (
+    DimensionMismatch,
+    RecursionInvariantViolation,
+    ZeroPoint,
+)
+from colorsteinitz.instancefile import InstanceFile, emit_instance
 from colorsteinitz.ratlin import dot, rank, sub
+from colorsteinitz.steinitz import steinitz_reduce
 
-from conftest import pt as P, units
+from conftest import pt as P, simplex, units
 
 
 def brute_spanning_2d(points):
@@ -134,6 +145,116 @@ class TestSpansSpace:
             assert spanning(pts) == brute_spanning_2d(pts)
 
 
+def _random_point(rng, d, fractional):
+    if fractional:
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+    return tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+
+
+def _decision_inputs():
+    """Seeded generator sets for d = 1..4 that exercise every branch of spanning()."""
+    rng = random.Random(20)
+    cases = []
+    for d in range(1, 5):
+        for k in range(80):
+            kind = k % 8
+            fractional = k % 3 == 0
+            n = rng.randint(1, 2 * d + 2)
+            pts = [_random_point(rng, d, fractional) for _ in range(n)]
+            if kind == 1:  # duplicated and permuted points
+                pts += rng.choices(pts, k=rng.randint(1, 3))
+                rng.shuffle(pts)
+            elif kind == 2:  # a zero point among the generators
+                pts.insert(rng.randrange(n + 1), (Fraction(0),) * d)
+            elif kind == 3:  # sum zero: the all-ones dependence
+                pts.append(tuple(-sum(c) for c in zip(*pts)))
+            elif kind == 4 and d > 1:  # rank deficient with a positive dependence
+                flat = [p[:-1] + (Fraction(0),) for p in pts]
+                pts = flat + [tuple(-x for x in p) for p in flat]
+            elif kind == 5:  # a positive basis, possibly with extra points
+                pts = list(simplex(d)) + pts[: rng.randint(0, 2)]
+            elif kind == 6:  # a closed halfspace, so never spanning
+                pts = [p if p[0] >= 0 else tuple(-x for x in p) for p in pts]
+            cases.append(tuple(pts))
+    return cases
+
+
+class TestSpanningDecision:
+    def test_agrees_with_spans_space(self):
+        clear_span_cache()
+        cases = _decision_inputs()
+        assert len(cases) >= 300
+        decisions = []
+        for pts in cases:
+            decided = spanning(pts)
+            assert decided == isinstance(spans_space(pts), SpanCertificate), pts
+            decisions.append(decided)
+        assert 50 <= sum(decisions) <= len(decisions) - 50
+
+    def test_permutation_and_duplicate_share_the_memo(self):
+        clear_span_cache()
+        rng = random.Random(4)
+        for pts in _decision_inputs()[::7]:
+            decided = spanning(pts)
+            entries = len(cones._SPAN_BOOL)
+            shuffled = list(pts) + [rng.choice(pts)]
+            rng.shuffle(shuffled)
+            assert spanning(tuple(shuffled)) == decided
+            assert spanning(list(reversed(pts))) == decided
+            assert len(cones._SPAN_BOOL) == entries
+
+    def test_sum_zero_needs_no_lp(self, monkeypatch):
+        clear_span_cache()
+
+        def no_lp(*args):
+            raise AssertionError("lp_feasibility called")
+
+        monkeypatch.setattr(cones, "lp_feasibility", no_lp)
+        assert spanning(units(3))
+        assert spanning(simplex(2) + simplex(2))
+
+    def test_empty_raises_value_error(self):
+        with pytest.raises(ValueError):
+            spanning([])
+
+    def test_refute_spanning_returns_the_spans_space_witness(self):
+        for pts in ([P(1, 0), P(0, 1)], [P(1, 1), P(-2, -2), P(3, 3)]):
+            assert not spanning(pts)
+            res = refute_spanning(pts)
+            assert res == spans_space(pts)
+            assert res.verify(pts)
+
+    def test_refute_spanning_rejects_a_spanning_set(self):
+        with pytest.raises(RecursionInvariantViolation):
+            refute_spanning(simplex(2))
+
+
+class TestDisagreementGuard:
+    """Every caller that refutes a set it was told does not span re-checks the answer."""
+
+    @pytest.fixture
+    def lying_memo(self, monkeypatch):
+        monkeypatch.setitem(cones._SPAN_BOOL, frozenset(simplex(2)), False)
+
+    def test_check_spanning(self, lying_memo):
+        with pytest.raises(RecursionInvariantViolation):
+            ColourSystem(2, (simplex(2),) * 4).check_spanning()
+
+    def test_steinitz_reduce(self, lying_memo):
+        with pytest.raises(RecursionInvariantViolation):
+            steinitz_reduce(simplex(2))
+
+    def test_positive_circuit(self, lying_memo):
+        with pytest.raises(RecursionInvariantViolation):
+            positive_circuit(simplex(2))
+
+    def test_cli_verify(self, lying_memo, tmp_path, capsys):
+        path = tmp_path / "inst"
+        path.write_text(emit_instance(InstanceFile(2, (simplex(2),), ("",))))
+        assert main(["verify", str(path)]) == 1
+        assert "spans_space certified a set that spanning rejected" in capsys.readouterr().err
+
+
 class TestNearestConePoint:
     def test_inside_cone(self):
         res = nearest_cone_point(P(1, 1), [P(1, 0), P(0, 1)])
@@ -202,3 +323,8 @@ class TestDimensionChecks:
     def test_spans_space_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             spans_space([P(1, 0), P(1, 0, 0)])
+
+    def test_spanning_mixed_dims(self):
+        for pts in ([P(1, 0), P(1, 0, 0)], [P(1, 0, 0), P(-1, 0), P(0, 1)]):
+            with pytest.raises(DimensionMismatch):
+                spanning(pts)
