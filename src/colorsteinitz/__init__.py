@@ -12,11 +12,8 @@ from .caratheodory import (
 from .colorful import (
     BCase,
     ColourSystem,
-    HallViolation,
     Neither,
     PCase,
-    PositiveCircuit,
-    Projection,
     PSetResult,
     SmallTransversal,
     Structural,
@@ -24,10 +21,7 @@ from .colorful import (
     classify,
     colorful_transversal,
     find_small_transversal,
-    hall_sdr,
     p_set,
-    positive_circuit,
-    project_complement,
 )
 from .cones import (
     ConicCertificate,

@@ -1,10 +1,12 @@
 """Colour systems of 2d point sets: transversal construction and the
 classification of systems that admit no small spanning partial transversal.
 
-A full spanning transversal always exists (one point per colour).  The
-classifier decides whether a system is the plus-minus-basis case (BCase), the
-positive-basis/antipodal-simplex case (PCase), or neither, in which case it
-produces a spanning partial transversal using at most 2d-1 colours.
+A full spanning transversal always exists (one point per colour); it is
+built by two colorful pivots along a generic direction.  The classifier
+decides whether a system is the plus-minus-basis case (BCase) or the
+positive-basis/antipodal-simplex case (PCase) by exact ray-set tests; in every
+other case an exhaustive scan returns a smallest spanning partial transversal,
+which by the colourful Steinitz characterisation uses at most 2d-1 colours.
 """
 
 from __future__ import annotations
@@ -21,21 +23,12 @@ from .errors import (
     ZeroPoint,
 )
 from .ratlin import (
-    Feasible,
     column_null_space,
-    dot,
-    independent_subset,
     is_zero,
-    lp_feasibility,
     neg,
-    null_space,
     primitive_ray,
     rank,
     same_ray,
-    scale,
-    solve_columns,
-    sub,
-    zero_point,
 )
 from .steinitz import generic_direction
 
@@ -110,154 +103,6 @@ def p_set(v, system: ColourSystem) -> PSetResult:
         if any(same_ray(nv, x) for x in s)
     )
     return PSetResult(tuple(v), members)
-
-
-@dataclass(frozen=True)
-class PositiveCircuit:
-    """Minimal subset with a strictly positive dependence summing to zero."""
-
-    indices: tuple
-    points: tuple
-    coefficients: tuple  # strictly positive, primitive integer
-
-    def verify(self) -> bool:
-        if len(self.points) != len(self.coefficients):
-            return False
-        if any(c <= 0 for c in self.coefficients):
-            return False
-        acc = zero_point(len(self.points[0]))
-        for c, p in zip(self.coefficients, self.points):
-            acc = sub(acc, scale(-c, p))
-        if not is_zero(acc):
-            return False
-        return rank(list(self.points)) == len(self.points) - 1
-
-
-def positive_circuit(points) -> PositiveCircuit:
-    """Lexicographically first minimal positively dependent subset.
-
-    Requires pos(points) = R^d (checked), which guarantees a positive
-    dependence exists.  A subset qualifies iff its columns have a
-    one-dimensional null space generated by a strictly same-signed vector.
-    """
-    points = [tuple(p) for p in points]
-    if not spanning(points):
-        raise NotSpanning(refute_spanning(points))
-    d = len(points[0])
-    for size in range(2, d + 2):
-        for combo in combinations(range(len(points)), size):
-            cols = [points[i] for i in combo]
-            deps = column_null_space(cols)
-            if len(deps) != 1:
-                continue
-            mu = deps[0]
-            if all(c > 0 for c in mu):
-                coeffs = mu
-            elif all(c < 0 for c in mu):
-                coeffs = neg(mu)
-            else:
-                continue
-            return PositiveCircuit(tuple(combo), tuple(cols), tuple(coeffs))
-    raise RecursionInvariantViolation(
-        "spanning set without a positive circuit"
-    )  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class HallViolation:
-    """Family indices whose union of sets is smaller than the family."""
-
-    family_indices: tuple
-
-
-def hall_sdr(family, universe_size: int):
-    """Distinct representatives for a family of index sets, or a violation.
-
-    Returns a list reps with reps[j] in family[j], all distinct, or a
-    HallViolation naming an inclusion subfamily that breaks Hall's condition.
-    Standard augmenting-path bipartite matching.
-    """
-    family = [sorted(set(s)) for s in family]
-    for s in family:
-        for x in s:
-            if not 0 <= x < universe_size:
-                raise ValueError(f"element {x} outside universe of size {universe_size}")
-    match_of_elem = {}  # element -> family index
-
-    def augment(j, seen):
-        for x in family[j]:
-            if x in seen:
-                continue
-            seen.add(x)
-            if x not in match_of_elem or augment(match_of_elem[x], seen):
-                match_of_elem[x] = j
-                return True
-        return False
-
-    for j in range(len(family)):
-        if not augment(j, set()):
-            # alternating reachability from the unmatched family j gives a
-            # tight violating subfamily (Koenig / Hall argument)
-            reach_fams = {j}
-            reach_elems = set()
-            frontier = [j]
-            while frontier:
-                f = frontier.pop()
-                for x in family[f]:
-                    if x in reach_elems:
-                        continue
-                    reach_elems.add(x)
-                    owner = match_of_elem.get(x)
-                    if owner is not None and owner not in reach_fams:
-                        reach_fams.add(owner)
-                        frontier.append(owner)
-            return HallViolation(tuple(sorted(reach_fams)))
-
-    reps = [None] * len(family)
-    for x, j in match_of_elem.items():
-        reps[j] = x
-    return reps
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Orthogonal projections onto the complement of a subspace.
-
-    ``frame`` is a rational basis of the orthogonal complement; ``images``
-    holds each point's coordinates in that frame, or None when the point lies
-    in the projected-out subspace (flagged, never silently kept).
-    """
-
-    frame: tuple
-    images: tuple
-
-
-def project_complement(points, l_basis) -> Projection:
-    """Exact orthogonal projection to the complement of lin(l_basis)."""
-    l_basis = [tuple(b) for b in l_basis]
-    if rank(l_basis) != len(l_basis):
-        raise ValueError("l_basis must be linearly independent")
-    frame = null_space_frame(l_basis)
-    gram_cols = [tuple(dot(a, b) for a in l_basis) for b in l_basis]
-    images = []
-    for x in points:
-        x = tuple(x)
-        alpha = solve_columns(gram_cols, tuple(dot(b, x) for b in l_basis))
-        proj = x
-        for a, b in zip(alpha, l_basis):
-            proj = sub(proj, scale(a, b))
-        if is_zero(proj):
-            images.append(None)
-        else:
-            coords = solve_columns(list(frame), proj)
-            if coords is None:  # pragma: no cover
-                raise RecursionInvariantViolation("projection left the complement frame")
-            images.append(tuple(coords))
-    return Projection(tuple(frame), tuple(images))
-
-
-def null_space_frame(l_basis):
-    return tuple(null_space([tuple(b) for b in l_basis]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +241,14 @@ def _pivoted_transversal(system: ColourSystem):
 
 
 def _search_small(system: ColourSystem):
-    """Exhaustive search for a spanning partial transversal with <= 2d-1 picks.
+    """The first spanning partial transversal with at most 2d-1 picks.
 
-    Sizes below d+1 can never span, so the scan starts at d+1.  Used both as
-    the d<=2 base case and as the fallback wherever the constructive
-    recursion runs into a branch that only exists as a contradiction in the
-    structural analysis.
+    Scans sizes d+1..2d-1 (fewer than d+1 points never span), then colour
+    subsets and element choices in lexicographic order, so the witness has
+    the smallest possible size.  The scan is complete: by the colourful
+    Steinitz characterisation a system that is neither BCase nor PCase has
+    such a transversal, so running out of candidates is an invariant
+    violation.
     """
     d = system.dim
     for k in range(d + 1, 2 * d):
@@ -417,183 +264,12 @@ def _search_small(system: ColourSystem):
     )
 
 
-def _find_antipodal(system: ColourSystem):
-    """First (colour, index of x, index of -x) with both rays in one set."""
-    for i, s in enumerate(system.sets):
-        for a, x in enumerate(s):
-            nx = neg(x)
-            for b, y in enumerate(s):
-                if b != a and same_ray(nx, y):
-                    return i, a, b
-    return None
-
-
-def _ray_index(points, ray):
-    for e, x in enumerate(points):
-        if same_ray(ray, x):
-            return e
-    return None
-
-
-def _projected_subsystem(system, colours, l_basis):
-    """Project the chosen colours to the complement of lin(l_basis).
-
-    Points on the projected-out subspace are dropped (they are flagged by
-    project_complement); the remaining images are renormalised to primitive
-    rays to keep coefficients small.  Returns (sets, element maps).
-    """
-    sub_sets = []
-    maps = []
-    for c in colours:
-        proj = project_complement(system.sets[c], l_basis)
-        lst = []
-        mp = []
-        for e, im in enumerate(proj.images):
-            if im is None:
-                continue
-            lst.append(primitive_ray(im))
-            mp.append(e)
-        if not lst or not spanning(tuple(lst)):  # pragma: no cover
-            raise RecursionInvariantViolation("projection of a spanning set must span")
-        sub_sets.append(tuple(lst))
-        maps.append(mp)
-    return sub_sets, maps
-
-
-def _case_two(system: ColourSystem):
-    """Some colour contains an antipodal ray pair: project it out and recurse."""
-    d = system.dim
-    i, a_idx, b_idx = _find_antipodal(system)
-    v = system.sets[i][a_idx]
-    j = next(
-        (
-            c
-            for c in range(2 * d)
-            if c != i
-            and _ray_index(system.sets[c], v) is not None
-            and _ray_index(system.sets[c], neg(v)) is not None
-        ),
-        None,
-    )
-    if j is None:
-        # the second special colour exists only under the no-small-transversal
-        # assumption, so one must exist
-        return _search_small(system)
-
-    others = [c for c in range(2 * d) if c not in (i, j)]
-    sub_sets, maps = _projected_subsystem(system, others, [v])
-    subsystem = ColourSystem(d - 1, tuple(sub_sets))
-    sub = find_small_transversal(subsystem)
-    if isinstance(sub, Structural):
-        # structurally the original would have to be BCase/PCase, which was
-        # already ruled out, so a small transversal exists
-        return _search_small(system)
-
-    lifted = [(others[c], maps[c][e]) for c, e in sub.transversal.picks]
-    _assert_unique_lifts(system, subsystem, sub, others, maps, v)
-    v_i, nv_i = a_idx, b_idx
-    v_j = _ray_index(system.sets[j], v)
-    nv_j = _ray_index(system.sets[j], neg(v))
-    candidates = [
-        lifted,
-        lifted + [(i, nv_i)],
-        lifted + [(i, v_i)],
-        lifted + [(j, nv_j)],
-        lifted + [(j, v_j)],
-        lifted + [(i, v_i), (j, nv_j)],
-        lifted + [(i, nv_i), (j, v_j)],
-    ]
-    for cand in candidates:
-        if len(cand) > 2 * d - 1:
-            continue
-        pts = tuple(system.sets[c][e] for c, e in cand)
-        if spanning(pts):
-            tv = _make_transversal(cand)
-            return SmallTransversal(tv, spans_space(tv.points(system)))
-    raise RecursionInvariantViolation(
-        "lifted transversal with both axis rays must span"
-    )  # pragma: no cover
-
-
-def _assert_unique_lifts(system, subsystem, sub, others, maps, v):
-    """When the lifted picks only span a hyperplane, each lift is unique."""
-    lifted_pts = [system.sets[others[c]][maps[c][e]] for c, e in sub.transversal.picks]
-    d = system.dim
-    if rank(lifted_pts) != d - 1:
-        return
-    # pos(lifted) = lin(lifted) iff the negation of every point is still in
-    # the positive hull
-    if not all(
-        isinstance(lp_feasibility(lifted_pts, neg(p)), Feasible) for p in lifted_pts
-    ):
-        return
-    for c, e in sub.transversal.picks:
-        image = subsystem.sets[c][e]
-        dup = sum(1 for x in subsystem.sets[c] if x == image)
-        if dup > 1:
-            raise RecursionInvariantViolation("non-unique lift of a projected pick")
-
-
-def _case_one(system: ColourSystem):
-    """No colour meets its own negation: circuit + distinct representatives."""
-    d = system.dim
-    hosts = [2 * d - 1] + list(range(2 * d - 1))
-    for host in hosts:
-        circ = positive_circuit(system.sets[host])
-        k = len(circ.points)
-        if k < 3:
-            continue
-        families = [sorted(p_set(a, system).members) for a in circ.points]
-        sdr = hall_sdr(families, 2 * d)
-        if isinstance(sdr, HallViolation):
-            continue
-        picks_sdr = []
-        ok = True
-        for j, a in enumerate(circ.points):
-            e = _ray_index(system.sets[sdr[j]], neg(a))
-            if e is None:  # pragma: no cover - contradicts the P-set computation
-                ok = False
-                break
-            picks_sdr.append((sdr[j], e))
-        if not ok:
-            continue
-
-        if k == d + 1:
-            pts = tuple(system.sets[c][e] for c, e in picks_sdr)
-            if spanning(pts):
-                tv = _make_transversal(picks_sdr)
-                return SmallTransversal(tv, spans_space(tv.points(system)))
-            continue
-
-        # circuit spans a proper subspace L of dimension k-1; represent it,
-        # then finish with a full transversal in the complement
-        l_ids = independent_subset(circ.points, size=k - 1)
-        l_basis = [circ.points[t] for t in l_ids]
-        used = set(sdr) | {host}
-        pool = [c for c in range(2 * d) if c not in used]
-        need = 2 * (d - k + 1)
-        if len(pool) < need:  # pragma: no cover - impossible for k >= 3
-            continue
-        rec_colours = pool[:need]
-        sub_sets, maps = _projected_subsystem(system, rec_colours, l_basis)
-        subsystem = ColourSystem(d - k + 1, tuple(sub_sets))
-        tv_sub, _ = colorful_transversal(subsystem)
-        lifted = [(rec_colours[c], maps[c][e]) for c, e in tv_sub.picks]
-        cand = picks_sdr + lifted
-        pts = tuple(system.sets[c][e] for c, e in cand)
-        if spanning(pts):
-            tv = _make_transversal(cand)
-            return SmallTransversal(tv, spans_space(tv.points(system)))
-    return _search_small(system)
-
-
 def find_small_transversal(system: ColourSystem):
     """Spanning partial transversal with <= 2d-1 picks, or a structural case.
 
-    Structural BCase/PCase detection runs first; for d <= 2 the remainder is
-    an exhaustive search, and for d >= 3 the constructive recursion projects
-    along an antipodal ray pair (when one exists inside a single colour) or
-    along the span of a positive circuit with distinct representatives.
+    Checks that every colour spans, runs the structural BCase and PCase
+    tests, and otherwise returns the first small transversal of the
+    exhaustive scan in ``_search_small``.
     """
     system.check_spanning()
     b = structural_bcase(system)
@@ -602,25 +278,12 @@ def find_small_transversal(system: ColourSystem):
     p = structural_pcase(system)
     if p is not None:
         return Structural(p)
-    if system.dim <= 2:
-        return _search_small(system)
-    if _find_antipodal(system) is not None:
-        return _case_two(system)
-    return _case_one(system)
+    return _search_small(system)
 
 
 def classify(system: ColourSystem):
     """BCase, PCase, or Neither with a small spanning partial transversal."""
-    system.check_spanning()
-    b = structural_bcase(system)
-    if b is not None:
-        return b
-    p = structural_pcase(system)
-    if p is not None:
-        return p
     res = find_small_transversal(system)
-    if isinstance(res, SmallTransversal):
-        return Neither(res.transversal, res.certificate)
-    raise RecursionInvariantViolation(
-        "structural result after structural tests failed"
-    )  # pragma: no cover
+    if isinstance(res, Structural):
+        return res.result
+    return Neither(res.transversal, res.certificate)

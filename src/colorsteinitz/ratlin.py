@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DimensionMismatch, ParseError
 
@@ -252,13 +251,15 @@ def lp_feasibility(cols, target):
     if d == 0:
         return Feasible(())
 
-    sgn = [1 if target[i] >= 0 else -1 for i in range(d)]
+    # Fraction signs make the tableau and right-hand side Fractions even for
+    # int coordinates, whose int / int pivots would otherwise give floats
+    sgn = [ONE if target[i] >= 0 else -ONE for i in range(d)]
     tab = [
         [sgn[i] * cols[j][i] for j in range(n)]
         + [ONE if k == i else ZERO for k in range(d)]
         for i in range(d)
     ]
-    rhs = [abs(target[i]) for i in range(d)]
+    rhs = [sgn[i] * target[i] for i in range(d)]
     basis = list(range(n, n + d))
     ncols_t = n + d
     # reduced costs for cost vector (0,...,0,1,...,1), current basis all-artificial
@@ -308,25 +309,8 @@ def lp_feasibility(cols, target):
         return Feasible(tuple(lam))
 
     y = [1 - red[n + i] for i in range(d)]
-    w = tuple(Fraction(sgn[i]) * y[i] for i in range(d))
+    w = tuple(sgn[i] * y[i] for i in range(d))
     w = primitive_ray(w)
     if any(dot(w, c) > 0 for c in cols) or dot(w, tuple(target)) <= 0:
         raise AssertionError("simplex produced an invalid Farkas witness")  # pragma: no cover
     return Infeasible(w)
-
-
-def independent_subset(points, size=None):
-    """Greedy maximal (or given-size) linearly independent index subset."""
-    chosen = []
-    pts = []
-    for i, p in enumerate(points):
-        if rank(pts + [p]) == len(pts) + 1:
-            chosen.append(i)
-            pts.append(p)
-            if size is not None and len(chosen) == size:
-                break
-    return chosen
-
-
-def subsets_of_size(n, k):
-    return combinations(range(n), k)

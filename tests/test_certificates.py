@@ -4,8 +4,10 @@ The checker deliberately shares no code with the solver; these tests also
 exercise it as a subprocess to confirm independence from the package import.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +147,21 @@ class TestCheckerSubprocess:
         )
         assert fail.returncode == 1
         assert f"FAIL {bad}" in fail.stdout
+
+
+class TestCheckerIndependence:
+    def test_checker_imports_nothing_from_the_package(self):
+        path = Path(__file__).resolve().parents[1] / "src" / "colorsteinitz" / "checkcert.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offending = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for name in names:
+                if name.startswith(".") or name.split(".")[0] == "colorsteinitz":
+                    offending.append((node.lineno, name))
+        assert offending == []

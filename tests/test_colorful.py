@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from colorsteinitz.colorful import (
     BCase,
     ColourSystem,
-    HallViolation,
     Neither,
     PCase,
     SmallTransversal,
@@ -17,14 +17,16 @@ from colorsteinitz.colorful import (
     classify,
     colorful_transversal,
     find_small_transversal,
-    hall_sdr,
     p_set,
-    positive_circuit,
-    project_complement,
 )
-from colorsteinitz.cones import spanning
+from colorsteinitz.cones import SpanCertificate, spanning, spans_space
 from colorsteinitz.errors import NotSpanning, ZeroPoint
-from colorsteinitz.oracle import generate_bcase, generate_pcase, min_spanning_partial_size
+from colorsteinitz.oracle import (
+    generate_bcase,
+    generate_pcase,
+    generate_random,
+    min_spanning_partial_size,
+)
 from colorsteinitz.ratlin import neg, same_ray
 
 from conftest import pt as P, simplex, units
@@ -126,98 +128,6 @@ class TestPSet:
             p_set(P(0, 0), bcase2())
 
 
-class TestPositiveCircuit:
-    def test_known_dependence(self):
-        # the antipodal pair is the smallest circuit here, preceding the
-        # triangle {(1,0),(0,1),(-1,-1)} in the size-ascending scan
-        circ = positive_circuit([P(1, 0), P(0, 1), P(-1, -1), P(1, 1)])
-        assert circ.points == (P(-1, -1), P(1, 1))
-        assert circ.verify()
-
-    def test_triangle_dependence_without_antipodes(self):
-        circ = positive_circuit([P(1, 0), P(0, 1), P(-1, -1), P(-1, 2)])
-        assert circ.points == (P(1, 0), P(0, 1), P(-1, -1))
-        assert circ.coefficients == (Fraction(1), Fraction(1), Fraction(1))
-        assert circ.verify()
-
-    def test_antipodal_pair_is_lexicographic_minimum(self):
-        circ = positive_circuit(units(2))
-        assert circ.points == (P(1, 0), P(-1, 0))
-        assert len(circ.points) == 2
-        assert circ.verify()
-
-    def test_simplex_is_its_own_circuit(self):
-        pts = [P(1, 0), P(0, 1), P(-1, -1)]
-        circ = positive_circuit(pts)
-        assert circ.points == tuple(pts)
-        assert len(circ.points) == 3
-        assert circ.verify()
-
-    def test_minimality(self):
-        from colorsteinitz.ratlin import column_null_space
-
-        circ = positive_circuit([P(2, 1), P(-1, 1), P(-1, -3), P(3, -2)])
-        assert circ.verify()
-        for drop in range(len(circ.points)):
-            rest = [p for i, p in enumerate(circ.points) if i != drop]
-            deps = column_null_space(rest)
-            assert not any(
-                all(c > 0 for c in mu) or all(c < 0 for c in mu) for mu in deps
-            )
-
-    def test_requires_spanning(self):
-        with pytest.raises(NotSpanning):
-            positive_circuit([P(1, 0), P(0, 1)])
-
-
-class TestHallSdr:
-    def test_sdr_found(self):
-        reps = hall_sdr([{0, 1}, {1, 2}, {0, 2}], 3)
-        assert sorted(reps) == [0, 1, 2]
-        for j, r in enumerate(reps):
-            assert r in [{0, 1}, {1, 2}, {0, 2}][j]
-
-    def test_violation(self):
-        res = hall_sdr([{0}, {0}], 3)
-        assert isinstance(res, HallViolation)
-        assert res.family_indices == (0, 1)
-
-    def test_large_family_small_union(self):
-        # d+1 sets whose union has only d elements cannot have an SDR
-        d = 3
-        fam = [set(range(d)) for _ in range(d + 1)]
-        res = hall_sdr(fam, 2 * d)
-        assert isinstance(res, HallViolation)
-        union = set()
-        for j in res.family_indices:
-            union |= fam[j]
-        assert len(union) < len(res.family_indices)
-
-    def test_element_outside_universe(self):
-        with pytest.raises(ValueError):
-            hall_sdr([{5}], 3)
-
-
-class TestProjectComplement:
-    def test_axis_projection(self):
-        proj = project_complement([P(3, 2)], [P(1, 0)])
-        assert proj.frame == (P(0, 1),)
-        assert proj.images == ((Fraction(2),),)
-
-    def test_diagonal_projection(self):
-        proj = project_complement([P(1, 0)], [P(1, 1)])
-        assert proj.frame == (P(1, -1),)
-        assert proj.images == ((Fraction(1, 2),),)
-
-    def test_point_in_subspace_flagged(self):
-        proj = project_complement([P(2, 2)], [P(1, 1)])
-        assert proj.images == (None,)
-
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
-            project_complement([P(1, 0)], [P(1, 1), P(2, 2)])
-
-
 class TestClassify:
     def test_bcase(self):
         res = classify(bcase2())
@@ -263,7 +173,7 @@ class TestFindSmallTransversal:
         assert min_spanning_partial_size(sys_) <= 3
 
     def test_d3_case_two_path(self):
-        # a colour containing an antipodal pair triggers the projection branch
+        # every colour contains antipodal ray pairs
         base = units(3) + (P(1, 1, 1),)
         sys_ = ColourSystem(3, (base,) * 6)
         res = find_small_transversal(sys_)
@@ -273,10 +183,10 @@ class TestFindSmallTransversal:
         assert spanning(pts)
 
     def test_d3_case_one_path(self):
-        # no colour meets its own negation: simplex colours only
+        # no colour meets its own negation: simplex colours only, five of F
+        # and one of -F, which is not the 3 + 3 split of PCase
         f = simplex(3)
         nf = tuple(neg(p) for p in f)
-        # not the PCase split (5 colours of F, 1 of -F would not span? it does)
         sets = (f, f, f, f, f, nf)
         sys_ = ColourSystem(3, sets)
         res = find_small_transversal(sys_)
@@ -303,3 +213,59 @@ class TestFindSmallTransversal:
             res = find_small_transversal(sys_)
             assert isinstance(res, SmallTransversal)
             assert min_spanning_partial_size(sys_) <= res.transversal.size() <= 5
+
+
+def _first_spanning_partial(system):
+    """Brute-force reference: the first partial transversal, in (size,
+    colours, element) order, that spans_space certifies."""
+    d = system.dim
+    for k in range(1, 2 * d + 1):
+        for colours in combinations(range(2 * d), k):
+            for elements in product(*(range(len(system.sets[c])) for c in colours)):
+                pts = tuple(system.sets[c][e] for c, e in zip(colours, elements))
+                if isinstance(spans_space(pts), SpanCertificate):
+                    return tuple(zip(colours, elements))
+    return None
+
+
+def _d3_antipodal():
+    return ColourSystem(3, (units(3) + (P(1, 1, 1),),) * 6)
+
+
+def _d3_simplex_colours():
+    f = simplex(3)
+    nf = tuple(neg(p) for p in f)
+    return ColourSystem(3, (f, f, f, f, f, nf))
+
+
+_MINIMALITY_SYSTEMS = (
+    [(f"random-d2-{seed}", lambda seed=seed: generate_random(2, seed=seed)) for seed in range(10)]
+    + [
+        (f"random-d2-sizes-{seed}", lambda seed=seed: generate_random(2, sizes=[3, 5, 4, 3], seed=seed))
+        for seed in range(5)
+    ]
+    + [(f"random-d3-{seed}", lambda seed=seed: generate_random(3, seed=seed)) for seed in range(4)]
+    + [
+        (f"random-d3-sizes4-{seed}", lambda seed=seed: generate_random(3, sizes=4, seed=seed))
+        for seed in (1, 4, 9)
+    ]
+    + [
+        ("spec-neither-d2", lambda: ColourSystem(2, ((P(1, 0), P(0, 1), P(-1, -1), P(-1, 1)),) * 4)),
+        ("antipodal-d3", _d3_antipodal),
+        ("simplex-colours-d3", _d3_simplex_colours),
+    ]
+)
+
+
+class TestWitnessMinimality:
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _MINIMALITY_SYSTEMS], ids=[n for n, _ in _MINIMALITY_SYSTEMS]
+    )
+    def test_witness_is_the_first_smallest(self, build):
+        sys_ = build()
+        res = find_small_transversal(sys_)
+        assert isinstance(res, SmallTransversal)
+        assert res.transversal.size() == min_spanning_partial_size(sys_)
+        assert res.transversal.picks == _first_spanning_partial(sys_)
+        assert res.certificate.verify(res.transversal.points(sys_))
+        assert classify(sys_) == Neither(res.transversal, res.certificate)

@@ -8,7 +8,7 @@ import pytest
 
 from colorsteinitz import cones
 from colorsteinitz.cli import main
-from colorsteinitz.colorful import ColourSystem, positive_circuit
+from colorsteinitz.colorful import ColourSystem
 from colorsteinitz.cones import (
     ConicCertificate,
     FarkasWitness,
@@ -113,6 +113,19 @@ class TestSpansSpace:
         res = spans_space(gens)
         assert isinstance(res, SpanCertificate)
         assert res.verify(gens)
+
+    def test_int_coordinates(self):
+        # plain ints, not Fractions: the simplex must not divide int by int
+        gens = ((2, 0), (0, 3), (-1, -1))
+        res = spans_space(gens)
+        assert isinstance(res, SpanCertificate)
+        assert res.verify(gens)
+        assert spanning(gens)
+        as_fractions = [tuple(Fraction(c) for c in p) for p in gens]
+        assert res == spans_space(as_fractions)
+        halfplane = ((2, 0), (0, 3), (1, -1))
+        assert not spanning(halfplane)
+        assert spans_space(halfplane).verify(halfplane)
 
     def test_rank_deficient_witness(self):
         res = spans_space([P(1, 1), P(-2, -2), P(3, 3)])
@@ -243,10 +256,6 @@ class TestDisagreementGuard:
     def test_steinitz_reduce(self, lying_memo):
         with pytest.raises(RecursionInvariantViolation):
             steinitz_reduce(simplex(2))
-
-    def test_positive_circuit(self, lying_memo):
-        with pytest.raises(RecursionInvariantViolation):
-            positive_circuit(simplex(2))
 
     def test_cli_verify(self, lying_memo, tmp_path, capsys):
         path = tmp_path / "inst"
