@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cones import ConicCertificate, FarkasWitness, nearest_cone_point, pos_membership
 from .errors import NotInCone, PreconditionFailed, RecursionInvariantViolation, ZeroPoint
-from .ratlin import Feasible, Infeasible, dot, is_zero, lp_feasibility, sub
+from .ratlin import dot, is_zero, sub
 
 
 def cone_caratheodory(v, points):
@@ -63,9 +63,9 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     if m != d:
         raise ValueError(f"expected {d} colour sets, got {m}")
     for i, a_set in enumerate(sets):
-        res = lp_feasibility(list(a_set), v)
-        if isinstance(res, Infeasible):
-            raise PreconditionFailed(i, FarkasWitness(res.witness, tuple(v)))
+        res = pos_membership(v, list(a_set))
+        if isinstance(res, FarkasWitness):
+            raise PreconditionFailed(i, res)
 
     cur = [0] * m
 
@@ -92,10 +92,8 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
         near = new_near
         trace.append(PivotStep(colour, enter, near.sqdist))
 
-    res = lp_feasibility(pts(), v)
-    if not isinstance(res, Feasible):  # pragma: no cover
+    cert = pos_membership(v, pts())
+    if not isinstance(cert, ConicCertificate):  # pragma: no cover
         raise RecursionInvariantViolation("zero distance but membership LP failed")
-    idx = tuple(j for j, c in enumerate(res.coefficients) if c != 0)
-    cert = ConicCertificate(idx, tuple(res.coefficients[j] for j in idx), tuple(v))
     picks = tuple((i, cur[i]) for i in range(m))
     return ColorfulResult(picks, cert, initial, tuple(trace))

@@ -19,20 +19,16 @@ Block grammar (one certificate per CERT..END block, several blocks per file):
 from __future__ import annotations
 
 from .cones import ConicCertificate, FarkasWitness, SpanCertificate
-from .ratlin import format_rat
-
-
-def _point_fields(p):
-    return " ".join(format_rat(c) for c in p)
+from .ratlin import format_point
 
 
 def _gen_lines(generators):
-    return [f"GEN {i} {_point_fields(g)}" for i, g in enumerate(generators)]
+    return [f"GEN {i} {format_point(g)}" for i, g in enumerate(generators)]
 
 
 def _coeff_lines(cert: ConicCertificate):
     return [
-        f"COEFF {i} {format_rat(c)}"
+        f"COEFF {i} {c}"
         for i, c in zip(cert.generator_indices, cert.coefficients)
     ]
 
@@ -40,7 +36,7 @@ def _coeff_lines(cert: ConicCertificate):
 def render_conic(cert: ConicCertificate, generators) -> str:
     lines = [f"CERT conic", f"DIM {len(cert.target)}"]
     lines += _gen_lines(generators)
-    lines.append(f"TARGET {_point_fields(cert.target)}")
+    lines.append(f"TARGET {format_point(cert.target)}")
     lines += _coeff_lines(cert)
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -50,8 +46,8 @@ def render_farkas(witness: FarkasWitness, generators) -> str:
     lines = [f"CERT farkas", f"DIM {len(witness.w)}"]
     lines += _gen_lines(generators)
     if witness.target is not None:
-        lines.append(f"TARGET {_point_fields(witness.target)}")
-    lines.append(f"WITNESS {_point_fields(witness.w)}")
+        lines.append(f"TARGET {format_point(witness.target)}")
+    lines.append(f"WITNESS {format_point(witness.w)}")
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -59,7 +55,7 @@ def render_farkas(witness: FarkasWitness, generators) -> str:
 def _span_body(cert: SpanCertificate):
     lines = []
     for direction, sub in cert.certificates:
-        lines.append(f"DIR {_point_fields(direction)}")
+        lines.append(f"DIR {format_point(direction)}")
         lines += _coeff_lines(sub)
     return lines
 

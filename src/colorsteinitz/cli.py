@@ -27,17 +27,13 @@ from .oracle import (
     generate,
     min_spanning_partial_size,
 )
-from .ratlin import format_rat
+from .ratlin import format_point
 from .steinitz import (
     BasisCaseWitness,
     basis_case,
     refine_below_2d,
     steinitz_reduce,
 )
-
-
-def _fmt_point(p):
-    return " ".join(format_rat(c) for c in p)
 
 
 def _load(path) -> InstanceFile:
@@ -74,7 +70,7 @@ def cmd_verify(args):
             print(f"set {i + 1}: spans")
         else:
             w = refute_spanning(s).w
-            print(f"set {i + 1}: NOT spanning, witness w = {_fmt_point(w)}")
+            print(f"set {i + 1}: NOT spanning, witness w = {format_point(w)}")
             bad = True
     return 1 if bad else 0
 
@@ -82,14 +78,10 @@ def cmd_verify(args):
 def cmd_reduce(args):
     points = _single_set(_load(args.instance))
     d = len(points[0])
-    try:
-        reduced = steinitz_reduce(points)
-    except NotSpanning as exc:
-        print(f"input does not span; witness w = {_fmt_point(exc.witness.w)}")
-        return 1
+    reduced = steinitz_reduce(points)
     print(f"reduced to {len(reduced.indices)} points (bound {2 * d})")
     for i in reduced.indices:
-        print(f"  [{i}] {_fmt_point(points[i])}")
+        print(f"  [{i}] {format_point(points[i])}")
     if len(reduced.indices) == 2 * d and basis_case(points) is not None:
         print("note: basis case, no spanning subset of size 2d-1 exists")
     chosen = tuple(points[i] for i in reduced.indices)
@@ -100,72 +92,60 @@ def cmd_reduce(args):
 def cmd_refine(args):
     points = _single_set(_load(args.instance))
     d = len(points[0])
-    try:
-        res = refine_below_2d(points)
-    except NotSpanning as exc:
-        print(f"input does not span; witness w = {_fmt_point(exc.witness.w)}")
-        return 1
+    res = refine_below_2d(points)
     if isinstance(res, BasisCaseWitness):
         print("basis case: the rays are exactly +-e_1..+-e_d for the basis")
         for e in res.basis:
-            print(f"  {_fmt_point(e)}")
+            print(f"  {format_point(e)}")
         return 0
     print(f"refined to {len(res.indices)} points (bound {2 * d - 1})")
     for i in res.indices:
-        print(f"  [{i}] {_fmt_point(points[i])}")
+        print(f"  [{i}] {format_point(points[i])}")
     chosen = tuple(points[i] for i in res.indices)
     _write_cert(args.cert, certio.render_span(res.certificate, chosen))
     return 0
 
 
 def _print_trace(label, result):
-    print(f"trace {label}: initial sqdist {format_rat(result.initial_sqdist)}")
+    print(f"trace {label}: initial sqdist {result.initial_sqdist}")
     for step in result.trace:
         print(
             f"pivot colour={step.colour} enter={step.entering_index} "
-            f"sqdist={format_rat(step.sqdist)}"
+            f"sqdist={step.sqdist}"
         )
 
 
 def cmd_transversal(args):
     instance = _load(args.instance)
     system = _system(instance)
-    try:
-        tv, cert, first, second = _pivoted_transversal(system)
-    except NotSpanning as exc:
-        print(f"set {exc.colour + 1} does not span; witness w = {_fmt_point(exc.witness.w)}")
-        return 1
+    tv, cert, first, second = _pivoted_transversal(system)
     if args.trace:
         _print_trace("forward", first)
         _print_trace("backward", second)
     for c, e in tv.picks:
-        print(f"colour {c + 1} -> point {e + 1} : {_fmt_point(system.sets[c][e])}")
+        print(f"colour {c + 1} -> point {e + 1} : {format_point(system.sets[c][e])}")
     _write_cert(args.cert, certio.render_transversal(tv.picks, cert, tv.points(system)))
     return 0
 
 
 def cmd_classify(args):
     system = _system(_load(args.instance))
-    try:
-        result = classify(system)
-    except NotSpanning as exc:
-        print(f"set {exc.colour + 1} does not span; witness w = {_fmt_point(exc.witness.w)}")
-        return 1
+    result = classify(system)
     if isinstance(result, BCase):
         print("BCase")
         for e in result.basis:
-            print(f"  basis {_fmt_point(e)}")
+            print(f"  basis {format_point(e)}")
     elif isinstance(result, PCase):
         print("PCase")
         for f in result.points:
-            print(f"  F {_fmt_point(f)}")
+            print(f"  F {format_point(f)}")
         print("  plus colours " + " ".join(str(c + 1) for c in result.plus_colours))
         print("  minus colours " + " ".join(str(c + 1) for c in result.minus_colours))
     else:
         assert isinstance(result, Neither)
         print("Neither")
         for c, e in result.witness.picks:
-            print(f"  colour {c + 1} -> point {e + 1} : {_fmt_point(system.sets[c][e])}")
+            print(f"  colour {c + 1} -> point {e + 1} : {format_point(system.sets[c][e])}")
         _write_cert(
             args.cert,
             certio.render_transversal(
@@ -241,11 +221,7 @@ def cmd_plot(args):
         raise ParseError("plot supports dimension 2 only")
     if args.format != "svg":
         raise ParseError("plot supports --format svg only")
-    try:
-        tv, _ = colorful_transversal(system)
-    except NotSpanning as exc:
-        print(f"set {exc.colour + 1} does not span; witness w = {_fmt_point(exc.witness.w)}")
-        return 1
+    tv, _ = colorful_transversal(system)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_render_svg(system, tv))
     print(f"wrote {args.out}")
@@ -315,6 +291,10 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except NotSpanning as exc:
+        where = "input" if exc.colour is None else f"set {exc.colour + 1}"
+        print(f"{where} does not span; witness w = {format_point(exc.witness.w)}")
+        return 1
     except (ParseError, OSError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

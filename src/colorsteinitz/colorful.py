@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .caratheodory import colorful_cone_caratheodory
-from .cones import SpanCertificate, refute_spanning, spanning, spans_space
+from .cones import SpanCertificate, require_spanning, spanning, spans_space
 from .errors import (
     DimensionMismatch,
-    NotSpanning,
     RecursionInvariantViolation,
     ZeroPoint,
 )
@@ -27,10 +26,9 @@ from .ratlin import (
     is_zero,
     neg,
     primitive_ray,
-    rank,
     same_ray,
 )
-from .steinitz import generic_direction
+from .steinitz import basis_case, generic_direction
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,7 @@ class ColourSystem:
 
     def check_spanning(self):
         for i, s in enumerate(self.sets):
-            if not spanning(s):
-                raise NotSpanning(refute_spanning(s), colour=i)
+            require_spanning(s, colour=i)
 
 
 @dataclass(frozen=True)
@@ -157,24 +154,17 @@ def structural_bcase(system: ColourSystem):
         return None
     if any(_ray_set(s) != first for s in system.sets[1:]):
         return None
-    if any(neg(r) not in first for r in first):
-        return None
-    reps = []
-    for r in sorted(first):
-        if neg(r) not in reps:
-            reps.append(r)
-    if len(reps) != d or rank(reps) != d:
-        return None
-    return BCase(tuple(reps))
+    basis = basis_case(sorted(first))
+    return None if basis is None else BCase(basis)
 
 
 def _is_positive_basis_simplex(rays):
     """rays (size d+1) form a positive circuit spanning R^d."""
     pts = sorted(rays)
     d = len(pts[0])
-    if len(pts) != d + 1 or rank(pts) != d:
+    if len(pts) != d + 1:
         return False
-    deps = column_null_space(pts)
+    deps = column_null_space(pts)  # one dependence iff rank d
     if len(deps) != 1:
         return False
     mu = deps[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, RecursionInvariantViolation, ZeroPoint
+from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation, ZeroPoint
 from .ratlin import (
     Feasible,
     Point,
@@ -148,8 +148,9 @@ def spans_space(generators):
     d = len(generators[0])
     _check_dims(generators, d)
 
-    if rank(list(generators)) < d:
-        w = null_space(list(generators))[0]
+    normals = null_space(list(generators))
+    if normals:
+        w = normals[0]
         axis = next(i for i in range(d) if w[i] != 0)
         target = unit(d, axis, 1 if w[axis] > 0 else -1)
         result = FarkasWitness(w, target)
@@ -203,6 +204,13 @@ def refute_spanning(generators) -> FarkasWitness:
     if not isinstance(res, FarkasWitness):
         raise RecursionInvariantViolation("spans_space certified a set that spanning rejected")
     return res
+
+
+def require_spanning(generators, colour=None):
+    """Raise NotSpanning, with the refute_spanning() witness and the given
+    colour, unless spanning(generators)."""
+    if not spanning(generators):
+        raise NotSpanning(refute_spanning(generators), colour=colour)
 
 
 def nearest_cone_point(v: Point, generators) -> NearestPoint:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .ratlin import format_rat, parse_rat
+from .ratlin import format_point, parse_rat
 
 
 @dataclass(frozen=True)
@@ -87,5 +87,5 @@ def emit_instance(instance: InstanceFile) -> str:
     for s, label in zip(instance.sets, instance.labels):
         lines.append(f"set {label}".rstrip())
         for p in s:
-            lines.append(" ".join(format_rat(c) for c in p))
+            lines.append(format_point(p))
     return "\n".join(lines) + "\n"

@@ -104,6 +104,8 @@ def enumerate_report(system: ColourSystem, budget=DEFAULT_BUDGET, count_full=Tru
 def min_spanning_subset_size(points, budget=DEFAULT_BUDGET):
     """Smallest spanning subset of a single point set, or None."""
     points = [tuple(p) for p in points]
+    if not points:
+        raise ValueError("point list must be nonempty")
     d = len(points[0])
     bud = _Budget(budget)
     for k in range(d + 1, len(points) + 1):

@@ -2,7 +2,9 @@
 
 Scalars are stdlib ``fractions.Fraction`` (always in lowest terms, positive
 denominator).  Points are tuples of Fractions; matrices are lists of row
-tuples.  Everything here is a pure function over immutable values.
+tuples.  Plain ``int`` coordinates are accepted too and stay exact: every
+division is by a Fraction, never ``int / int``.  Everything here is a pure
+function over immutable values.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def parse_rat(text: str) -> Fraction:
     return value
 
 
-def format_rat(q: Fraction) -> str:
-    return str(q)
+def format_point(p: Point) -> str:
+    """Coordinates as space-separated "p" or "p/q" strings."""
+    return " ".join(map(str, p))
 
 
 def dot(a: Point, b: Point) -> Fraction:
@@ -78,22 +81,31 @@ def unit(d: int, axis: int, sign: int = 1) -> Point:
     return tuple(Fraction(sign) if i == axis else ZERO for i in range(d))
 
 
+def _primitive_ints(p):
+    """p times a positive rational, as coprime integers (zeros for p = 0)."""
+    den = math.lcm(*(x.denominator for x in p))
+    ints = [x.numerator * (den // x.denominator) for x in p]
+    g = math.gcd(*ints) or 1
+    return [n // g for n in ints]
+
+
 def primitive_ray(p: Point) -> Point:
     """Scale by a positive rational to primitive integer coordinates.
 
     Preserves direction, so it is the canonical representative of the ray
     through ``p``.
     """
-    if is_zero(p):
-        return p
-    den_lcm = 1
-    for x in p:
-        den_lcm = den_lcm * x.denominator // math.gcd(den_lcm, x.denominator)
-    ints = [x.numerator * (den_lcm // x.denominator) for x in p]
-    g = 0
+    return tuple(map(Fraction, _primitive_ints(p)))
+
+
+def integer_line(p):
+    """Primitive integer vector of the line through p (ints or Fractions),
+    first nonzero entry positive; None for the zero vector."""
+    ints = _primitive_ints(p)
     for n in ints:
-        g = math.gcd(g, abs(n))
-    return tuple(Fraction(n // g) for n in ints)
+        if n:
+            return tuple(ints) if n > 0 else tuple(-n for n in ints)
+    return None
 
 
 def same_ray(a: Point, b: Point) -> bool:
@@ -101,15 +113,6 @@ def same_ray(a: Point, b: Point) -> bool:
     if is_zero(a) or is_zero(b):
         return False
     return primitive_ray(a) == primitive_ray(b)
-
-
-def _primitive_signed(v: Point) -> Point:
-    """Primitive integer vector with the first nonzero coordinate positive."""
-    v = primitive_ray(v)
-    for x in v:
-        if x != 0:
-            return v if x > 0 else neg(v)
-    return v
 
 
 def rref(rows):
@@ -126,6 +129,7 @@ def rref(rows):
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
         if pv != 1:
+            pv = Fraction(pv)  # keeps int rows exact: int / int is a float
             m[r] = [x / pv for x in m[r]]
         for i in range(nr):
             if i != r and m[i][c] != 0:
@@ -167,7 +171,7 @@ def null_space(rows, ncols=None):
         v[f] = ONE
         for r_i, pc in enumerate(pivots):
             v[pc] = -m[r_i][f]
-        basis.append(_primitive_signed(tuple(v)))
+        basis.append(tuple(map(Fraction, integer_line(v))))
     return basis
 
 
@@ -215,24 +219,6 @@ class Infeasible:
     witness: Point
 
 
-def _reduce_to_basic(cols, lam, target):
-    """Shrink a nonnegative solution to one with independent support."""
-    lam = list(lam)
-    while True:
-        supp = [j for j in range(len(lam)) if lam[j] != 0]
-        if not supp:
-            return lam
-        deps = column_null_space([cols[j] for j in supp])
-        if not deps:
-            return lam
-        mu = list(deps[0])
-        if all(m <= 0 for m in mu):
-            mu = [-m for m in mu]
-        t = min(lam[supp[j]] / mu[j] for j in range(len(supp)) if mu[j] > 0)
-        for j in range(len(supp)):
-            lam[supp[j]] -= t * mu[j]
-
-
 def lp_feasibility(cols, target):
     """Decide whether target lies in the positive hull of the columns.
 
@@ -241,7 +227,10 @@ def lp_feasibility(cols, target):
     Infeasible(w) with <w, col> <= 0 for every column and <w, target> > 0.
 
     Phase-1 simplex (minimise the sum of artificial variables) with Bland's
-    rule, so it terminates even on degenerate inputs.
+    rule, so it terminates even on degenerate inputs.  The basis matrix
+    starts as the identity and every pivot is on a nonzero entry, so it
+    stays nonsingular: the columns in the support of lam are basic, hence
+    independent.
     """
     d = len(target)
     n = len(cols)
@@ -299,7 +288,6 @@ def lp_feasibility(cols, target):
         for i in range(d):
             if basis[i] < n:
                 lam[basis[i]] = rhs[i]
-        lam = _reduce_to_basic(cols, lam, target)
         acc = zero_point(d)
         for j in range(n):
             if lam[j] != 0:

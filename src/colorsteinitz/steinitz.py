@@ -8,36 +8,15 @@ the input is not (at ray level) a plus-minus basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from .caratheodory import cone_caratheodory
-from .cones import SpanCertificate, refute_spanning, spanning, spans_space
-from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
-from .ratlin import neg, null_space, primitive_ray, rank
-
-
-def _primitive(ints):
-    """The integer vector divided by its content, first nonzero entry
-    positive; None for the zero vector."""
-    g = math.gcd(*ints)
-    if g == 0:
-        return None
-    for n in ints:
-        if n:
-            break
-    if n < 0:
-        g = -g
-    return tuple([n // g for n in ints])
-
-
-def _integer_line(p):
-    """Primitive integer vector of the line through the rational point p."""
-    den = math.lcm(*(x.denominator for x in p))
-    return _primitive([x.numerator * (den // x.denominator) for x in p])
+from .cones import SpanCertificate, require_spanning, spanning, spans_space
+from .errors import DimensionMismatch, RecursionInvariantViolation
+from .ratlin import integer_line, neg, null_space, primitive_ray, rank
 
 
 def _minor_plan(d):
@@ -78,11 +57,10 @@ def _hull_normals(lines, d, plan):
             minors = new
         # the (d-1)-subsets run from the one missing column d-1 to the one
         # missing column 0; cofactor j is (-1)^j times the minor missing j
-        normal = _primitive([(-1) ** j * minors[d - 1 - j] for j in range(d)])
+        normal = integer_line([(-1) ** j * minors[d - 1 - j] for j in range(d)])
         if normal is not None:
             return (normal,)
-    rows = [tuple(Fraction(x) for x in r) for r in lines]
-    return tuple(tuple(int(x) for x in b) for b in null_space(rows, ncols=d))
+    return tuple(tuple(int(x) for x in b) for b in null_space(lines, ncols=d))
 
 
 def generic_direction(points):
@@ -108,7 +86,7 @@ def generic_direction(points):
     for p in points:
         if len(p) != d:
             raise DimensionMismatch(f"point of length {len(p)} among points of length {d}")
-    lines = set(map(_integer_line, points)) - {None}
+    lines = set(map(integer_line, points)) - {None}
     k = min(d - 1, len(lines))
     # the zero hull (k == 0) contains no v(t), whose first coordinate is 1
     plan = _minor_plan(d)
@@ -137,15 +115,10 @@ class BasisCaseWitness:
     basis: tuple  # d linearly independent primitive rays e_1..e_d
 
 
-def _require_spanning(points):
-    if not spanning(points):
-        raise NotSpanning(refute_spanning(points))
-
-
 def steinitz_reduce(points) -> ReducedSet:
     """Spanning subset of size <= 2d, via two one-sided reductions."""
     points = [tuple(p) for p in points]
-    _require_spanning(points)
+    require_spanning(points)
     v = generic_direction(points)
     idx_pos, _ = cone_caratheodory(v, points)
     idx_neg, _ = cone_caratheodory(neg(v), points)
@@ -157,6 +130,14 @@ def steinitz_reduce(points) -> ReducedSet:
     return ReducedSet(indices, cert)
 
 
+def _distinct_rays(points):
+    """{primitive ray: index of its first occurrence}, in first-occurrence order."""
+    first = {}
+    for i, p in enumerate(points):
+        first.setdefault(primitive_ray(p), i)
+    return first
+
+
 def basis_case(points):
     """The d primitive basis rays if the rays of points are exactly +-e_1..+-e_d.
 
@@ -165,11 +146,7 @@ def basis_case(points):
     """
     points = [tuple(p) for p in points]
     d = len(points[0])
-    rays = []
-    for p in points:
-        r = primitive_ray(p)
-        if r not in rays:
-            rays.append(r)
+    rays = list(_distinct_rays(points))
     if len(rays) != 2 * d:
         return None
     ray_set = set(rays)
@@ -191,8 +168,8 @@ def refine_below_2d(points):
     2d-1), in lexicographic index order, so the result is deterministic.
     """
     points = [tuple(p) for p in points]
-    d = len(points[0])
     reduced = steinitz_reduce(points)
+    d = len(points[0])
     if len(reduced.indices) <= 2 * d - 1:
         return reduced
 
@@ -200,14 +177,7 @@ def refine_below_2d(points):
     if basis is not None:
         return BasisCaseWitness(basis)
 
-    # distinct rays, first occurrence keeps the original index
-    ray_idx = []
-    seen = set()
-    for i, p in enumerate(points):
-        r = primitive_ray(p)
-        if r not in seen:
-            seen.add(r)
-            ray_idx.append(i)
+    ray_idx = list(_distinct_rays(points).values())
     for size in range(d + 1, 2 * d):
         for combo in combinations(ray_idx, size):
             chosen = tuple(points[i] for i in combo)

@@ -118,7 +118,8 @@ RANDOM2_CERT = (
 
 
 # instances/random2 with set 3 replaced by four points in the halfplane x > 0;
-# outputs recorded when every spanning decision still solved 2d LPs
+# outputs recorded when every spanning decision still solved 2d LPs; count and
+# minsize recorded when the CLI got its one NotSpanning handler
 NOSPAN3 = """dim 2
 set
 -1 -2
@@ -150,6 +151,8 @@ NOSPAN3_GOLDEN = {
     ),
     "classify": "set 3 does not span; witness w = -2 1\n",
     "transversal": "set 3 does not span; witness w = -2 1\n",
+    "count": "set 3 does not span; witness w = -2 1\n",
+    "minsize": "set 3 does not span; witness w = -2 1\n",
 }
 
 
@@ -159,6 +162,13 @@ def test_non_spanning_golden(command, tmp_path, capsys):
     path.write_text(NOSPAN3)
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().out == NOSPAN3_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", ["reduce", "refine"])
+def test_non_spanning_single_set_golden(command, tmp_path, capsys):
+    path = write_single(tmp_path, [P(1, 0), P(0, 1)])
+    assert main([command, path]) == 1
+    assert capsys.readouterr().out == "input does not span; witness w = -1 0\n"
 
 
 class TestTransversal:

@@ -1,0 +1,67 @@
+"""Static checks on the package source, stdlib only: every import is used,
+and every private module-level function or class is referenced somewhere in
+the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "colorsteinitz"
+
+
+def _modules():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def _loaded_names(nodes):
+    """Names read or bound by the given nodes, and attribute names on them."""
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imported(tree):
+    """(bound name, line) for every import outside ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":  # re-exports
+            continue
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{name}:{line} {bound}" for bound, line in _imported(tree) if bound not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    modules = _modules()
+    dead = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # a reference from the definition's own body does not count
+            elsewhere = [n for n in tree.body if n is not node]
+            elsewhere += [t for other, t in modules.items() if other != name]
+            if node.name not in _loaded_names(elsewhere):
+                dead.append(f"{name}:{node.lineno} {node.name}")
+    assert dead == []

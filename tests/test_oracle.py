@@ -64,6 +64,10 @@ class TestMinSize:
         assert min_spanning_subset_size(list(units(2)) + [P(1, 1)]) == 3
         assert min_spanning_subset_size([P(1, 0), P(0, 1)]) is None
 
+    def test_min_spanning_subset_size_rejects_empty_input(self):
+        with pytest.raises(ValueError):
+            min_spanning_subset_size([])
+
 
 class TestInvariances:
     def test_count_invariant_under_unimodular_map(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorsteinitz.cones import FarkasWitness, spans_space
 from colorsteinitz.errors import DimensionMismatch, ParseError
 from colorsteinitz.ratlin import (
     Feasible,
@@ -14,6 +15,7 @@ from colorsteinitz.ratlin import (
     column_null_space,
     dot,
     in_linear_hull,
+    integer_line,
     lp_feasibility,
     null_space,
     parse_rat,
@@ -136,6 +138,29 @@ class TestSolveAndNullSpace:
         assert acc == [0, 0]
 
 
+class TestIntCoordinates:
+    """Plain int input stays exact: no pivot may divide int by int."""
+
+    def test_rank_of_nearly_parallel_rows(self):
+        # determinant -1, but the rows agree to 17 digits
+        assert rank([(10**17 + 1, 10**17), (10**17, 10**17 - 1)]) == 2
+
+    def test_solve_columns(self):
+        x = solve_columns([(2, 1), (1, 3)], (1, 1))
+        assert x == [Fraction(2, 5), Fraction(1, 5)]
+        assert all(isinstance(c, Fraction) for c in x)
+
+    def test_null_space(self):
+        basis = null_space([(2, 1, 0), (1, 3, 1)])
+        assert basis == [P(1, -2, 5)]
+        assert all(isinstance(c, Fraction) for c in basis[0])
+
+    def test_spans_space_rank_deficient(self):
+        res = spans_space(((2, 0), (4, 0)))
+        assert res == FarkasWitness(P(0, 1), P(0, 1))
+        assert res.verify(((2, 0), (4, 0)))
+
+
 class TestRationalIO:
     def test_parse_plain_and_fraction(self):
         assert parse_rat("3") == 3
@@ -157,6 +182,11 @@ class TestRationalIO:
 class TestRays:
     def test_primitive_ray(self):
         assert primitive_ray(P("2/3", "4/3")) == P(1, 2)
+
+    def test_integer_line(self):
+        assert integer_line(P("-2/3", "4/3")) == (1, -2)
+        assert integer_line((0, -6, 4)) == (0, 3, -2)
+        assert integer_line((0, 0)) is None
 
     def test_same_ray_positive_multiples_only(self):
         assert same_ray(P(1, 2), P(2, 4))

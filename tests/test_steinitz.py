@@ -175,6 +175,10 @@ class TestSteinitzReduce:
 
 
 class TestRefineBelow2d:
+    def test_empty_input_raises_value_error(self):
+        with pytest.raises(ValueError):
+            refine_below_2d([])
+
     def test_basis_case_witness(self):
         res = refine_below_2d(units(2))
         assert isinstance(res, BasisCaseWitness)
