@@ -12,10 +12,12 @@ which by the colourful Steinitz characterisation uses at most 2d-1 colours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .caratheodory import colorful_cone_caratheodory
-from .cones import SpanCertificate, require_spanning, spanning, spans_space
+from .cones import SpanCertificate, integer_rays, require_spanning, spanning, spans_space
 from .errors import (
     DimensionMismatch,
     RecursionInvariantViolation,
@@ -25,7 +27,6 @@ from .ratlin import (
     column_null_space,
     is_zero,
     neg,
-    primitive_ray,
     same_ray,
 )
 from .steinitz import basis_case, generic_direction
@@ -54,9 +55,20 @@ class ColourSystem:
                 if is_zero(p):
                     raise ZeroPoint(f"zero point at set {i} index {j}")
 
+    @cached_property
+    def rays(self):
+        """Per colour set, the tuple of its points' ratlin.integer_ray.
+
+        Every decision on a system is invariant under positive rescaling, so
+        scans ask spanning() about these int tuples, which hash cheaply.
+        Computed on first use and kept in the instance __dict__, which
+        pickles with it; == and hash look only at dim and sets.
+        """
+        return tuple(map(integer_rays, self.sets))
+
     def check_spanning(self):
-        for i, s in enumerate(self.sets):
-            require_spanning(s, colour=i)
+        for i, (s, r) in enumerate(zip(self.sets, self.rays)):
+            require_spanning(s, colour=i, rays=r)
 
 
 @dataclass(frozen=True)
@@ -135,24 +147,12 @@ class Structural:
     result: object  # BCase | PCase
 
 
-_RAY_SET_CACHE = {}
-
-
-def _ray_set(points):
-    key = tuple(tuple(p) for p in points)
-    rs = _RAY_SET_CACHE.get(key)
-    if rs is None:
-        rs = frozenset(primitive_ray(p) for p in key)
-        _RAY_SET_CACHE[key] = rs
-    return rs
-
-
 def structural_bcase(system: ColourSystem):
     d = system.dim
-    first = _ray_set(system.sets[0])
+    first = frozenset(system.rays[0])
     if len(first) != 2 * d:
         return None
-    if any(_ray_set(s) != first for s in system.sets[1:]):
+    if any(frozenset(r) != first for r in system.rays[1:]):
         return None
     basis = basis_case(sorted(first))
     return None if basis is None else BCase(basis)
@@ -173,7 +173,7 @@ def _is_positive_basis_simplex(rays):
 
 def structural_pcase(system: ColourSystem):
     d = system.dim
-    ray_sets = [_ray_set(s) for s in system.sets]
+    ray_sets = [frozenset(r) for r in system.rays]
     distinct = []
     for rs in ray_sets:
         if rs not in distinct:
@@ -190,7 +190,8 @@ def structural_pcase(system: ColourSystem):
         return None
     if len(f_set) != d + 1 or not _is_positive_basis_simplex(f_set):
         return None
-    return PCase(tuple(sorted(f_set)), plus, minus)
+    points = tuple(tuple(map(Fraction, r)) for r in sorted(f_set))
+    return PCase(points, plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +242,12 @@ def _search_small(system: ColourSystem):
     violation.
     """
     d = system.dim
+    rays = system.rays
     for k in range(d + 1, 2 * d):
         for colours in combinations(range(2 * d), k):
-            ranges = [range(len(system.sets[c])) for c in colours]
+            ranges = [range(len(rays[c])) for c in colours]
             for assignment in product(*ranges):
-                pts = tuple(system.sets[c][e] for c, e in zip(colours, assignment))
-                if spanning(pts):
+                if spanning(tuple(rays[c][e] for c, e in zip(colours, assignment))):
                     tv = _make_transversal(zip(colours, assignment))
                     return SmallTransversal(tv, spans_space(tv.points(system)))
     raise RecursionInvariantViolation(

@@ -16,6 +16,7 @@ from .ratlin import (
     Point,
     add,
     dot,
+    integer_ray,
     is_zero,
     lp_feasibility,
     neg,
@@ -117,19 +118,46 @@ def pos_membership(v: Point, generators):
 
 
 # Process-wide memos; the functions are pure and the exhaustive d=2 sweeps
-# ask about the same few generator sets millions of times.  _SPAN_BOOL holds
-# the yes/no answer of spanning() keyed on the point set, because a positive
-# hull depends neither on order nor on repetition, and hashing the frozenset
-# is cheaper than sorting Fraction tuples on every hit.  _SPAN_CACHE holds the
-# certificates of spans_space() keyed on the exact input tuple, since a
-# certificate indexes into that tuple.
+# ask about the same few generator sets millions of times.
+# - _SPAN_BOOL: the yes/no answer of spanning(), keyed on the frozenset of the
+#   generators, because a positive hull depends neither on order nor on
+#   repetition.  Scans over a colour system ask about integer_ray() tuples,
+#   which hash cheaply and equal the primitive Fraction rays, so both kinds of
+#   key share entries.
+# - _SPAN_CACHE: the result of spans_space(), keyed on the exact input tuple,
+#   since a certificate indexes into that tuple.
+# - _RAY_SETS: integer_rays() of a point tuple, keyed on that tuple; the d=2
+#   sweep builds its systems from a few dozen shared colour sets.
+# Each holds at most _MEMO_LIMIT entries: _remember() drops the oldest entry
+# (dicts keep insertion order) before adding one to a full memo.  The limit
+# is about six times the most keys a 20 s benchmark run stores (about 40k in
+# _SPAN_BOOL on random d=3/4 systems), so no run evicts; at a few hundred
+# bytes an entry a full memo stays near 100 MB.
+_MEMO_LIMIT = 1 << 18
 _SPAN_CACHE = {}
 _SPAN_BOOL = {}
+_RAY_SETS = {}
+_MEMOS = (_SPAN_CACHE, _SPAN_BOOL, _RAY_SETS)
+
+
+def _remember(memo, key, value):
+    if len(memo) >= _MEMO_LIMIT:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def clear_span_cache():
-    _SPAN_CACHE.clear()
-    _SPAN_BOOL.clear()
+    for memo in _MEMOS:
+        memo.clear()
+
+
+def integer_rays(points) -> tuple:
+    """The integer_ray() of each point of a tuple of points, memoised."""
+    rays = _RAY_SETS.get(points)
+    if rays is None:
+        rays = _remember(_RAY_SETS, points, tuple(map(integer_ray, points)))
+    return rays
 
 
 def spans_space(generators):
@@ -165,8 +193,7 @@ def spans_space(generators):
             certs.append((direction, res))
         if result is None:
             result = SpanCertificate(d, tuple(certs))
-    _SPAN_CACHE[generators] = result
-    return result
+    return _remember(_SPAN_CACHE, generators, result)
 
 
 def spanning(generators) -> bool:
@@ -190,7 +217,7 @@ def spanning(generators) -> bool:
         if hit:
             total = tuple(sum(c, Fraction(0)) for c in zip(*points))
             hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
-        _SPAN_BOOL[key] = hit
+        _remember(_SPAN_BOOL, key, hit)
     return hit
 
 
@@ -206,10 +233,11 @@ def refute_spanning(generators) -> FarkasWitness:
     return res
 
 
-def require_spanning(generators, colour=None):
+def require_spanning(generators, colour=None, rays=None):
     """Raise NotSpanning, with the refute_spanning() witness and the given
-    colour, unless spanning(generators)."""
-    if not spanning(generators):
+    colour, unless spanning(generators).  The decision is made on ``rays``
+    (positive multiples of the generators) when they are given."""
+    if not spanning(generators if rays is None else rays):
         raise NotSpanning(refute_spanning(generators), colour=colour)
 
 

@@ -41,13 +41,14 @@ class _Budget:
 
 
 # cones.spanning decides with one rank test and at most one LP, and memoises
-# on the point set process-wide, so permuted transversals and repeated systems
+# on the generator set process-wide; the scans here ask it about a system's
+# integer rays, so permuted transversals, rescaled points and repeated systems
 # share work
 _spanning = spanning
 
 
 def _full_transversal_count(system: ColourSystem) -> int:
-    return sum(1 for pts in product(*system.sets) if _spanning(pts))
+    return sum(1 for rays in product(*system.rays) if _spanning(rays))
 
 
 def count_spanning_transversals(system: ColourSystem, budget=DEFAULT_BUDGET) -> int:
@@ -74,15 +75,15 @@ def enumerate_report(system: ColourSystem, budget=DEFAULT_BUDGET, count_full=Tru
     d = system.dim
     bud = _Budget(budget)
 
+    rays = system.rays
     min_size = None
     witness = None
     # a spanning set needs at least d+1 generators, so smaller k cannot work
     for k in range(d + 1, 2 * d + 1):
         for colours in combinations(range(2 * d), k):
-            for assignment in product(*(range(len(system.sets[c])) for c in colours)):
+            for assignment in product(*(range(len(rays[c])) for c in colours)):
                 bud.spend()
-                pts = tuple(system.sets[c][e] for c, e in zip(colours, assignment))
-                if _spanning(pts):
+                if _spanning(tuple(rays[c][e] for c, e in zip(colours, assignment))):
                     min_size = k
                     witness = Transversal(tuple(zip(colours, assignment)))
                     break

@@ -89,13 +89,22 @@ def _primitive_ints(p):
     return [n // g for n in ints]
 
 
+def integer_ray(p) -> tuple:
+    """The ray through p (ints or Fractions) as a tuple of coprime ints.
+
+    It equals, and hashes like, ``primitive_ray(p)``, but hashing ints is
+    cheap where hashing Fractions is not.
+    """
+    return tuple(_primitive_ints(p))
+
+
 def primitive_ray(p: Point) -> Point:
     """Scale by a positive rational to primitive integer coordinates.
 
     Preserves direction, so it is the canonical representative of the ray
     through ``p``.
     """
-    return tuple(map(Fraction, _primitive_ints(p)))
+    return tuple(map(Fraction, integer_ray(p)))
 
 
 def integer_line(p):

@@ -16,7 +16,7 @@ from operator import mul
 from .caratheodory import cone_caratheodory
 from .cones import SpanCertificate, require_spanning, spanning, spans_space
 from .errors import DimensionMismatch, RecursionInvariantViolation
-from .ratlin import integer_line, neg, null_space, primitive_ray, rank
+from .ratlin import integer_line, integer_ray, neg, null_space, rank
 
 
 def _minor_plan(d):
@@ -131,10 +131,10 @@ def steinitz_reduce(points) -> ReducedSet:
 
 
 def _distinct_rays(points):
-    """{primitive ray: index of its first occurrence}, in first-occurrence order."""
+    """{integer ray: index of its first occurrence}, in first-occurrence order."""
     first = {}
     for i, p in enumerate(points):
-        first.setdefault(primitive_ray(p), i)
+        first.setdefault(integer_ray(p), i)
     return first
 
 
@@ -142,9 +142,12 @@ def basis_case(points):
     """The d primitive basis rays if the rays of points are exactly +-e_1..+-e_d.
 
     Returns None otherwise.  Duplicate points and positive rescalings are
-    identified: the test runs at ray level.
+    identified: the test runs at ray level.  Raises ValueError on an empty
+    list.
     """
     points = [tuple(p) for p in points]
+    if not points:
+        raise ValueError("point list must be nonempty")
     d = len(points[0])
     rays = list(_distinct_rays(points))
     if len(rays) != 2 * d:
@@ -158,7 +161,7 @@ def basis_case(points):
             reps.append(r)
     if len(reps) != d or rank(reps) != d:
         return None
-    return tuple(reps)
+    return tuple(tuple(map(Fraction, r)) for r in reps)
 
 
 def refine_below_2d(points):
@@ -177,13 +180,12 @@ def refine_below_2d(points):
     if basis is not None:
         return BasisCaseWitness(basis)
 
-    ray_idx = list(_distinct_rays(points).values())
+    rays = list(_distinct_rays(points).items())
     for size in range(d + 1, 2 * d):
-        for combo in combinations(ray_idx, size):
-            chosen = tuple(points[i] for i in combo)
-            if spanning(chosen):
-                cert = spans_space(chosen)
-                return ReducedSet(tuple(combo), cert)
+        for combo in combinations(rays, size):
+            if spanning(tuple(r for r, _ in combo)):
+                indices = tuple(i for _, i in combo)
+                return ReducedSet(indices, spans_space(tuple(points[i] for i in indices)))
     raise RecursionInvariantViolation(
         "no small spanning subset although the input is not a plus-minus basis"
     )  # pragma: no cover

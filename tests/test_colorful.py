@@ -1,11 +1,14 @@
 """Colour systems: transversal construction, classification machinery."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from colorsteinitz import certio
+from colorsteinitz.checkcert import check_text
 from colorsteinitz.colorful import (
     BCase,
     ColourSystem,
@@ -19,15 +22,16 @@ from colorsteinitz.colorful import (
     find_small_transversal,
     p_set,
 )
-from colorsteinitz.cones import SpanCertificate, spanning, spans_space
+from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning, spans_space
 from colorsteinitz.errors import NotSpanning, ZeroPoint
 from colorsteinitz.oracle import (
+    enumerate_report,
     generate_bcase,
     generate_pcase,
     generate_random,
     min_spanning_partial_size,
 )
-from colorsteinitz.ratlin import neg, same_ray
+from colorsteinitz.ratlin import integer_ray, neg, same_ray
 
 from conftest import pt as P, simplex, units
 
@@ -54,6 +58,44 @@ class TestColourSystem:
         with pytest.raises(NotSpanning) as exc:
             sys_.check_spanning()
         assert exc.value.colour == 1
+
+
+class TestRays:
+    def _system(self):
+        return ColourSystem(
+            2,
+            (
+                (P("2/3", "4/3"), P(-6, 9), P(0, "-1/5")),
+                (P(1, 0), P(0, 1), P(-1, -1)),
+                (P(3, 0), P(0, 3), P("-1/2", "-1/2"), P(-4, 2)),
+                (P(-2, 0), P(0, 2), P(7, -7)),
+            ),
+        )
+
+    def test_non_integer_and_non_primitive_points(self):
+        sys_ = self._system()
+        assert sys_.rays[0] == ((1, 2), (-2, 3), (0, -1))
+        assert sys_.rays[2] == ((1, 0), (0, 1), (-1, -1), (-2, 1))
+        for s, rays in zip(sys_.sets, sys_.rays):
+            assert rays == tuple(map(integer_ray, s))
+            assert all(type(x) is int for r in rays for x in r)
+
+    def test_pickle_round_trip_keeps_the_rays(self):
+        sys_ = self._system()
+        rays = sys_.rays
+        back = pickle.loads(pickle.dumps(sys_))
+        assert back == sys_
+        assert vars(back)["rays"] == rays
+        assert back.rays == rays
+
+    def test_equality_and_hash_ignore_the_rays(self):
+        computed = self._system()
+        computed.rays
+        fresh = self._system()
+        assert "rays" in vars(computed) and "rays" not in vars(fresh)
+        assert computed == fresh
+        assert hash(computed) == hash(fresh)
+        assert len({computed, fresh}) == 1
 
 
 class TestTransversal:
@@ -269,3 +311,60 @@ class TestWitnessMinimality:
         assert res.transversal.picks == _first_spanning_partial(sys_)
         assert res.certificate.verify(res.transversal.points(sys_))
         assert classify(sys_) == Neither(res.transversal, res.certificate)
+
+
+def _rescaled(system, rng):
+    """The system with every point multiplied by its own positive rational."""
+
+    def scaled(p):
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        return tuple(c * x for x in p)
+
+    return ColourSystem(system.dim, tuple(tuple(map(scaled, s)) for s in system.sets))
+
+
+_RESCALING_SYSTEMS = (
+    [
+        (f"random-d{d}-{seed}", lambda d=d, seed=seed: generate_random(d, seed=seed))
+        for d in (2, 3, 4)
+        for seed in range(3)
+    ]
+    + [
+        (f"{kind.__name__[9:]}-d{d}-{t}", lambda kind=kind, d=d, t=t: kind(d, transform_seed=t))
+        for kind in (generate_bcase, generate_pcase)
+        for d in (2, 3, 4)
+        for t in (None, 5)
+    ]
+)
+
+
+class TestRescaling:
+    """Every decision depends on rays only: scaling each point by its own
+    positive rational changes no class, witness or oracle answer."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _RESCALING_SYSTEMS], ids=[n for n, _ in _RESCALING_SYSTEMS]
+    )
+    def test_answers_equal_the_unscaled_ones(self, build):
+        sys_ = build()
+        d = sys_.dim
+        scaled = _rescaled(sys_, random.Random(repr(sys_.sets)))
+        assert scaled.sets != sys_.sets and scaled.rays == sys_.rays
+        answers = []
+        for s in (sys_, scaled):
+            clear_span_cache()  # decide afresh, not from the other system's memo entries
+            res = classify(s)
+            answer = [type(res), res.witness if isinstance(res, Neither) else res]
+            structural = not isinstance(res, Neither)
+            # at d=4 the structural minimum 8 takes a scan of tens of millions of
+            # picks; counting all full transversals of a random system at d >= 3
+            # takes thousands of distinct LPs
+            if d < 4 or not structural:
+                report = enumerate_report(s, count_full=d == 2 or structural)
+                answer += [min_spanning_partial_size(s), report]
+            answers.append(answer)
+            if isinstance(res, Neither):
+                points = res.witness.points(s)
+                text = certio.render_transversal(res.witness.picks, res.certificate, points)
+                assert check_text(text) == ["transversal"]
+        assert answers[0] == answers[1]

@@ -1,19 +1,25 @@
 """Conic predicates, certificates, and the exact nearest-point computation."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import colorsteinitz
 from colorsteinitz import cones
 from colorsteinitz.cli import main
-from colorsteinitz.colorful import ColourSystem
+from colorsteinitz.colorful import ColourSystem, classify, colorful_transversal
 from colorsteinitz.cones import (
     ConicCertificate,
     FarkasWitness,
     SpanCertificate,
     clear_span_cache,
+    integer_rays,
     nearest_cone_point,
     pos_membership,
     refute_spanning,
@@ -27,8 +33,9 @@ from colorsteinitz.errors import (
     ZeroPoint,
 )
 from colorsteinitz.instancefile import InstanceFile, emit_instance
-from colorsteinitz.ratlin import dot, rank, sub
-from colorsteinitz.steinitz import steinitz_reduce
+from colorsteinitz.oracle import enumerate_report, generate_random
+from colorsteinitz.ratlin import dot, integer_ray, rank, sub
+from colorsteinitz.steinitz import refine_below_2d, steinitz_reduce
 
 from conftest import pt as P, simplex, units
 
@@ -216,6 +223,13 @@ class TestSpanningDecision:
             assert spanning(list(reversed(pts))) == decided
             assert len(cones._SPAN_BOOL) == entries
 
+    def test_integer_rays_decide_alike(self):
+        for pts in _decision_inputs():
+            clear_span_cache()
+            decided = spanning(pts)
+            clear_span_cache()  # so that the ray key is decided, not looked up
+            assert spanning(tuple(map(integer_ray, pts))) == decided, pts
+
     def test_sum_zero_needs_no_lp(self, monkeypatch):
         clear_span_cache()
 
@@ -240,6 +254,75 @@ class TestSpanningDecision:
     def test_refute_spanning_rejects_a_spanning_set(self):
         with pytest.raises(RecursionInvariantViolation):
             refute_spanning(simplex(2))
+
+
+def _memo_answers(after_each=lambda: None):
+    """spanning, spans_space and integer_rays on a slice of the decision inputs."""
+    answers = []
+    for pts in _decision_inputs()[::3]:
+        answers.append((spanning(pts), spans_space(pts), integer_rays(pts)))
+        after_each()
+    return answers
+
+
+class TestMemos:
+    def test_full_memos_stay_bounded_with_the_same_answers(self, monkeypatch):
+        clear_span_cache()
+        unbounded = _memo_answers()
+        assert min(map(len, cones._MEMOS)) > 5
+        clear_span_cache()
+        monkeypatch.setattr(cones, "_MEMO_LIMIT", 5)
+        sizes = []
+        bounded = _memo_answers(lambda: sizes.extend(map(len, cones._MEMOS)))
+        assert bounded == unbounded
+        assert max(sizes) == 5
+
+    def test_the_oldest_entry_goes_first(self, monkeypatch):
+        clear_span_cache()
+        monkeypatch.setattr(cones, "_MEMO_LIMIT", 2)
+        sets = [simplex(2), units(2), (P(1, 0), P(0, 1))]
+        for s in sets:
+            spanning(s)
+        assert list(cones._SPAN_BOOL) == [frozenset(s) for s in sets[1:]]
+
+    def test_every_private_module_dict_is_a_bounded_memo(self):
+        """A process-wide dict must be one of cones._MEMOS, filled only
+        through cones._remember (which bounds it), and emptied by
+        clear_span_cache()."""
+        system = generate_random(2, seed=1)
+        classify(system)
+        colorful_transversal(system)
+        enumerate_report(system)
+        refine_below_2d(units(2) + (P(1, 1),))
+        clear_span_cache()
+        modules = [
+            importlib.import_module(f"colorsteinitz.{info.name}")
+            for info in pkgutil.iter_modules(colorsteinitz.__path__)
+        ]
+        memos = set()
+        for module in modules:
+            for name, value in vars(module).items():
+                if isinstance(value, dict) and name.startswith("_") and not name.startswith("__"):
+                    where = f"{module.__name__}.{name}"
+                    assert any(value is m for m in cones._MEMOS), f"{where} is not in cones._MEMOS"
+                    assert value == {}, f"clear_span_cache() leaves {where} non-empty"
+                    memos.add(name)
+        assert len(memos) == len(cones._MEMOS)
+        # no write to a memo but the bounded insert in _remember, which
+        # writes through its parameter
+        writes = []
+        for module in modules:
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    target = node.value
+                elif isinstance(node, ast.Attribute) and node.attr in ("setdefault", "update"):
+                    target = node.value
+                else:
+                    continue
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name in memos:
+                    writes.append(f"{module.__name__}:{node.lineno}")
+        assert writes == []
 
 
 class TestDisagreementGuard:

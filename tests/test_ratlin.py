@@ -16,6 +16,7 @@ from colorsteinitz.ratlin import (
     dot,
     in_linear_hull,
     integer_line,
+    integer_ray,
     lp_feasibility,
     null_space,
     parse_rat,
@@ -182,6 +183,17 @@ class TestRationalIO:
 class TestRays:
     def test_primitive_ray(self):
         assert primitive_ray(P("2/3", "4/3")) == P(1, 2)
+
+    def test_integer_ray(self):
+        for p, want in (
+            (P("2/3", "4/3"), (1, 2)),
+            (P(-6, "9/2"), (-4, 3)),
+            ((0, -6, 4), (0, -3, 2)),
+            (P(7), (1,)),
+        ):
+            ray = integer_ray(p)
+            assert ray == want and all(type(x) is int for x in ray)
+            assert ray == primitive_ray(p) and hash(ray) == hash(primitive_ray(p))
 
     def test_integer_line(self):
         assert integer_line(P("-2/3", "4/3")) == (1, -2)

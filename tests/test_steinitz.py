@@ -174,6 +174,17 @@ class TestSteinitzReduce:
                 assert res.certificate.verify(chosen)
 
 
+class TestBasisCase:
+    def test_empty_input_raises_value_error(self):
+        with pytest.raises(ValueError):
+            steinitz.basis_case([])
+
+    def test_rays_come_back_as_fractions(self):
+        basis = steinitz.basis_case([P(2, 0), P(0, "-1/3"), P(-5, 0), P(0, 4)])
+        assert basis == (P(1, 0), P(0, -1))
+        assert all(type(x) is Fraction for r in basis for x in r)
+
+
 class TestRefineBelow2d:
     def test_empty_input_raises_value_error(self):
         with pytest.raises(ValueError):
