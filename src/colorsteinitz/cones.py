@@ -127,12 +127,16 @@ def pos_membership(v: Point, generators):
 # - _SPAN_CACHE: the result of spans_space(), keyed on the exact input tuple,
 #   since a certificate indexes into that tuple.
 # - _RAY_SETS: integer_rays() of a point tuple, keyed on that tuple; the d=2
-#   sweep builds its systems from a few dozen shared colour sets.
+#   sweep builds its systems from a few dozen shared colour sets.  Its key
+#   hashes Fraction points once per set and system, which is still cheaper
+#   than recomputing the rays: without it perfbench's sweep_d2 solved about
+#   18% fewer systems per second (12.4k -> 10.1k, medians of three
+#   alternating 10 s runs on a 2-vCPU VM, Python 3.11).
 # Each holds at most _MEMO_LIMIT entries: _remember() drops the oldest entry
 # (dicts keep insertion order) before adding one to a full memo.  The limit
-# is about six times the most keys a 20 s benchmark run stores (about 40k in
-# _SPAN_BOOL on random d=3/4 systems), so no run evicts; at a few hundred
-# bytes an entry a full memo stays near 100 MB.
+# is about twice the most keys a 20 s benchmark run stores (about 7k
+# classify systems of random d=3/4 sets, 17.5 _SPAN_BOOL keys each), so no
+# run evicts; at a few hundred bytes an entry a full memo stays near 100 MB.
 _MEMO_LIMIT = 1 << 18
 _SPAN_CACHE = {}
 _SPAN_BOOL = {}
@@ -215,7 +219,7 @@ def spanning(generators) -> bool:
         d = len(points[0])
         hit = rank(points) == d  # rank() raises DimensionMismatch on mixed dimensions
         if hit:
-            total = tuple(sum(c, Fraction(0)) for c in zip(*points))
+            total = tuple(sum(c) for c in zip(*points))  # stays int on integer rays
             hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
         _remember(_SPAN_BOOL, key, hit)
     return hit

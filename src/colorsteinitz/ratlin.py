@@ -2,9 +2,17 @@
 
 Scalars are stdlib ``fractions.Fraction`` (always in lowest terms, positive
 denominator).  Points are tuples of Fractions; matrices are lists of row
-tuples.  Plain ``int`` coordinates are accepted too and stay exact: every
-division is by a Fraction, never ``int / int``.  Everything here is a pure
-function over immutable values.
+tuples.  Plain ``int`` coordinates are accepted too and stay exact.
+Everything here is a pure function over immutable values.
+
+The two kernels under every spanning decision compute on ``int`` only, never
+with ``/``: ``rank`` is Bareiss fraction-free elimination on rows scaled to
+integers, and ``lp_feasibility`` is a fraction-free simplex on a tableau
+whose columns are scaled to integers.  A positive column scaling keeps the
+pivots of Bland's rule, so the simplex returns exactly the coefficients and
+witnesses of a Fraction tableau, as Fractions.  ``rref`` (under
+``null_space`` and ``solve_columns``) divides by a ``Fraction`` pivot, never
+``int / int``.
 """
 
 from __future__ import annotations
@@ -152,12 +160,38 @@ def rref(rows):
 
 
 def rank(rows) -> int:
+    """Rank by Bareiss fraction-free elimination (Bareiss 1968) on ints.
+
+    Each row is first scaled to coprime integers, which keeps the rank.
+    After a pivot p every entry below it becomes (a*p - f*b) // prev, prev
+    being the previous pivot; the division is exact because every entry is
+    a minor of the scaled matrix, so no Fraction is ever built.
+    """
     if not rows:
         return 0
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DimensionMismatch("matrix is not rectangular")
-    return len(rref(rows)[1])
+    m = [_primitive_ints(r) for r in rows]
+    nr = len(m)
+    prev = 1
+    r = 0
+    for c in range(widths.pop()):
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(r + 1, nr):
+            row = m[i]
+            f = row[c]
+            m[i] = [(a * p - f * b) // prev for a, b in zip(row, pivot_row)]
+        prev = p
+        r += 1
+        if r == nr:
+            break
+    return r
 
 
 def null_space(rows, ncols=None):
@@ -218,6 +252,10 @@ def in_linear_hull(v: Point, points) -> bool:
     return solve_columns(points, v) is not None
 
 
+def _int_dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 @dataclass(frozen=True)
 class Feasible:
     coefficients: tuple
@@ -234,12 +272,28 @@ def lp_feasibility(cols, target):
     Returns Feasible(lam) with lam >= 0, sum lam_j cols[j] = target, and a
     basic support (linearly independent, hence at most d nonzeros), or
     Infeasible(w) with <w, col> <= 0 for every column and <w, target> > 0.
+    Coefficients and witness coordinates are Fractions, also for int input.
 
     Phase-1 simplex (minimise the sum of artificial variables) with Bland's
     rule, so it terminates even on degenerate inputs.  The basis matrix
     starts as the identity and every pivot is on a nonzero entry, so it
     stays nonsingular: the columns in the support of lam are basic, hence
     independent.
+
+    The tableau holds only ints (Edmonds 1967).  Column j is scaled by c_j,
+    the lcm of its denominators, and the target by s, the lcm of its own.
+    The tableau is D (``den``) times the rational one, D being the last
+    pivot (initially 1): pivoting on entry p of row r maps every other row,
+    the reduced-cost row R (``red``) included, to (a*p - f*b) // D, an exact
+    division (D times a rational tableau entry is a minor of the scaled
+    matrix), and leaves row r as it is.  Bland's ratio test pivots only on
+    positive entries, so D stays positive and every sign, and every ratio
+    compared by cross-multiplication, is that of the rational tableau.  The scaling
+    multiplies tableau entry (i, j) by c_j / c_basis[i] (an artificial
+    column has scale 1), R_j by c_j, and every ratio of one test by s / c_e,
+    so the signs of R and the argmin of each ratio test, hence the pivots,
+    the final basis, lam and the dual y, are those of the unscaled problem:
+    lam_j = rhs_i c_j / (D s) for basis[i] = j, and y_i = (D - R_{n+i}) / D.
     """
     d = len(target)
     n = len(cols)
@@ -249,65 +303,68 @@ def lp_feasibility(cols, target):
     if d == 0:
         return Feasible(())
 
-    # Fraction signs make the tableau and right-hand side Fractions even for
-    # int coordinates, whose int / int pivots would otherwise give floats
-    sgn = [ONE if target[i] >= 0 else -ONE for i in range(d)]
-    tab = [
-        [sgn[i] * cols[j][i] for j in range(n)]
-        + [ONE if k == i else ZERO for k in range(d)]
-        for i in range(d)
-    ]
-    rhs = [sgn[i] * target[i] for i in range(d)]
+    # column j times c_j, and the target times s, as ints
+    scales = [math.lcm(*(x.denominator for x in c)) for c in cols]
+    ints = [[x.numerator * (cj // x.denominator) for x in c] for c, cj in zip(cols, scales)]
+    s = math.lcm(*(x.denominator for x in target))
+    goal = [x.numerator * (s // x.denominator) for x in target]
+    sgn = [1 if x >= 0 else -1 for x in goal]
+    # rows: structural columns, artificial columns, right-hand side
+    tab = []
+    for i in range(d):
+        row = [sgn[i] * col[i] for col in ints] + [0] * (d + 1)
+        row[n + i] = 1
+        row[-1] = sgn[i] * goal[i]
+        tab.append(row)
     basis = list(range(n, n + d))
-    ncols_t = n + d
-    # reduced costs for cost vector (0,...,0,1,...,1), current basis all-artificial
-    red = [-sum(tab[i][j] for i in range(d)) for j in range(n)] + [ZERO] * d
+    # reduced costs for cost vector (0,...,0,1,...,1), current basis
+    # all-artificial; the last entry is minus the phase-1 objective
+    red = [-sum(col) for col in zip(*tab)]
+    red[n : n + d] = [0] * d
+    den = 1
 
     while True:
-        enter = next((j for j in range(ncols_t) if red[j] < 0), None)
+        enter = next((j for j in range(n + d) if red[j] < 0), None)
         if enter is None:
             break
-        best = None
+        li = None
         for i in range(d):
-            if tab[i][enter] > 0:
-                ratio = rhs[i] / tab[i][enter]
-                key = (ratio, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+            a = tab[i][enter]
+            if a > 0:
+                if li is None:
+                    li, num, piv = i, tab[i][-1], a
+                    continue
+                # compare (rhs_i / a, basis[i]) with (num / piv, basis[li])
+                lhs, rhs = tab[i][-1] * piv, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[li]):
+                    li, num, piv = i, tab[i][-1], a
+        if li is None:
             raise AssertionError("phase-1 objective unbounded")  # pragma: no cover
-        li = best[1]
-        pv = tab[li][enter]
-        if pv != 1:
-            tab[li] = [x / pv for x in tab[li]]
-            rhs[li] /= pv
+        prow = tab[li]
         for i in range(d):
-            if i != li and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[li])]
-                rhs[i] -= f * rhs[li]
+            if i != li:
+                row = tab[i]
+                f = row[enter]
+                tab[i] = [(a * piv - f * b) // den for a, b in zip(row, prow)]
         f = red[enter]
-        if f != 0:
-            red = [a - f * b for a, b in zip(red, tab[li])]
+        red = [(a * piv - f * b) // den for a, b in zip(red, prow)]
+        den = piv
         basis[li] = enter
 
-    value = sum((rhs[i] for i in range(d) if basis[i] >= n), ZERO)
-    if value == 0:
-        lam = [ZERO] * n
-        for i in range(d):
-            if basis[i] < n:
-                lam[basis[i]] = rhs[i]
-        acc = zero_point(d)
-        for j in range(n):
-            if lam[j] != 0:
-                acc = add(acc, scale(lam[j], cols[j]))
-        if acc != tuple(target) or any(x < 0 for x in lam):
+    # Both checks are exact on the scaled ints: sum lam_j cols[j] = target
+    # times D s reads sum x_j ints[j] = D goal with x_j = rhs_i for
+    # basis[i] = j, and <w, .> keeps its sign under positive scaling.
+    if red[-1] == 0:
+        x = [0] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = tab[i][-1]
+        acc = [sum(xj * col[k] for xj, col in zip(x, ints)) for k in range(d)]
+        if acc != [den * g for g in goal] or any(xj < 0 for xj in x):
             raise AssertionError("simplex produced an invalid solution")  # pragma: no cover
-        return Feasible(tuple(lam))
+        return Feasible(tuple(Fraction(xj * cj, den * s) for xj, cj in zip(x, scales)))
 
-    y = [1 - red[n + i] for i in range(d)]
-    w = tuple(sgn[i] * y[i] for i in range(d))
-    w = primitive_ray(w)
-    if any(dot(w, c) > 0 for c in cols) or dot(w, tuple(target)) <= 0:
+    w = integer_ray([sgn[i] * (den - red[n + i]) for i in range(d)])
+    if any(_int_dot(w, col) > 0 for col in ints) or _int_dot(w, goal) <= 0:
         raise AssertionError("simplex produced an invalid Farkas witness")  # pragma: no cover
-    return Infeasible(w)
+    return Infeasible(tuple(map(Fraction, w)))

@@ -1,6 +1,6 @@
 """Static checks on the package source, stdlib only: every import is used,
-and every private module-level function or class is referenced somewhere in
-the package."""
+every private module-level function or class is referenced somewhere in
+the package, and the decision paths stay free of floats."""
 
 import ast
 from pathlib import Path
@@ -65,3 +65,38 @@ def test_no_unreferenced_private_definitions():
             if node.name not in _loaded_names(elsewhere):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert dead == []
+
+
+# The integer kernels of ratlin: in int code a "/" is a float.
+INT_KERNELS = ("lp_feasibility", "rank")
+# Floats are drawn only: the SVG of the `plot` command.
+FLOAT_ALLOWED = {("cli.py", "_render_svg")}
+
+
+def test_no_true_division_in_integer_kernels():
+    tree = _modules()["ratlin.py"]
+    kernels = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    found = []
+    for name in INT_KERNELS:
+        for node in ast.walk(kernels[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"ratlin.py:{node.lineno} {name}")
+    assert found == []
+
+
+def test_no_floats_outside_the_plot():
+    found = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            if (name, getattr(top, "name", None)) in FLOAT_ALLOWED:
+                continue
+            for node in ast.walk(top):
+                literal = isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                call = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                )
+                if literal or call:
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorsteinitz.cones import FarkasWitness, spans_space
+from colorsteinitz.cones import FarkasWitness, clear_span_cache, spanning, spans_space
 from colorsteinitz.errors import DimensionMismatch, ParseError
 from colorsteinitz.ratlin import (
     Feasible,
@@ -23,6 +23,7 @@ from colorsteinitz.ratlin import (
     primitive_ray,
     pt,
     rank,
+    rref,
     same_ray,
     solve_columns,
 )
@@ -66,6 +67,93 @@ def bareiss_rank(rows):
     return r
 
 
+def reference_lp_feasibility(cols, target):
+    """The Fraction-tableau phase-1 simplex that lp_feasibility replaced.
+
+    Bland's rule on a tableau of Fractions, divided through by each pivot;
+    lp_feasibility must return exactly what this returns.
+    """
+    d = len(target)
+    n = len(cols)
+    if d == 0:
+        return Feasible(())
+    zero, one = Fraction(0), Fraction(1)
+    sgn = [one if target[i] >= 0 else -one for i in range(d)]
+    tab = [
+        [sgn[i] * cols[j][i] for j in range(n)] + [one if k == i else zero for k in range(d)]
+        for i in range(d)
+    ]
+    rhs = [sgn[i] * target[i] for i in range(d)]
+    basis = list(range(n, n + d))
+    red = [-sum(tab[i][j] for i in range(d)) for j in range(n)] + [zero] * d
+    while True:
+        enter = next((j for j in range(n + d) if red[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(d):
+            if tab[i][enter] > 0:
+                key = (rhs[i] / tab[i][enter], basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        li = best[1]
+        pv = tab[li][enter]
+        if pv != 1:
+            tab[li] = [x / pv for x in tab[li]]
+            rhs[li] /= pv
+        for i in range(d):
+            if i != li and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [a - f * b for a, b in zip(tab[i], tab[li])]
+                rhs[i] -= f * rhs[li]
+        f = red[enter]
+        red = [a - f * b for a, b in zip(red, tab[li])]
+        basis[li] = enter
+    if sum((rhs[i] for i in range(d) if basis[i] >= n), zero) == 0:
+        lam = [zero] * n
+        for i in range(d):
+            if basis[i] < n:
+                lam[basis[i]] = rhs[i]
+        return Feasible(tuple(lam))
+    w = tuple(sgn[i] * (1 - red[n + i]) for i in range(d))
+    return Infeasible(primitive_ray(w))
+
+
+def _random_lp(rng):
+    """A seeded lp_feasibility input: d = 0..5, n = 0..9, int, Fraction or
+    mixed entries, zero and repeated columns, and the targets -sum(cols)
+    (the spanning test), random ones and zero."""
+    d = rng.randint(0, 5)
+    n = rng.randint(0, 9)
+    kind = rng.choice(("int", "fraction", "mixed"))
+    bound = rng.choice((1, 3, 9))
+
+    def entry():
+        x = rng.randint(-bound, bound)
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return x
+        return Fraction(x, rng.randint(1, 6))
+
+    cols = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            cols.append((0,) * d if kind == "int" else (Fraction(0),) * d)
+        elif roll < 0.25 and cols:
+            col = rng.choice(cols)
+            cols.append(tuple(x * rng.randint(1, 3) for x in col) if rng.random() < 0.5 else col)
+        else:
+            cols.append(tuple(entry() for _ in range(d)))
+    roll = rng.random()
+    if roll < 0.4 and cols:
+        target = tuple(-sum(c[i] for c in cols) for i in range(d))
+    elif roll < 0.45:
+        target = (0,) * d
+    else:
+        target = tuple(entry() for _ in range(d))
+    return cols, target
+
+
 class TestRank:
     def test_identity(self):
         assert rank([P(1, 0), P(0, 1)]) == 2
@@ -79,6 +167,25 @@ class TestRank:
     def test_non_rectangular(self):
         with pytest.raises(DimensionMismatch):
             rank([P(1, 0), P(1,)])
+
+    def test_against_rref(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+            kind = rng.choice(("int", "fraction", "mixed"))
+            rows = []
+            for _ in range(nr):
+                if rows and rng.random() < 0.25:
+                    rows.append(tuple(rng.randint(-3, 3) * x for x in rng.choice(rows)))
+                    continue
+                row = [rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(nc)]
+                if kind != "int":
+                    row = [
+                        Fraction(x, rng.randint(1, 5)) if kind == "fraction" or j % 2 else x
+                        for j, x in enumerate(row)
+                    ]
+                rows.append(tuple(row))
+            assert rank(rows) == len(rref(rows)[1])
 
     def test_against_bareiss_oracle(self):
         rng = random.Random(7)
@@ -155,6 +262,30 @@ class TestIntCoordinates:
         basis = null_space([(2, 1, 0), (1, 3, 1)])
         assert basis == [P(1, -2, 5)]
         assert all(isinstance(c, Fraction) for c in basis[0])
+
+    def test_lp_feasibility_of_nearly_parallel_columns(self):
+        # in floats both columns are (1e17, 1e17) and the target lies between
+        big = 10**17
+        cols = [(big + 1, big), (big, big - 1)]
+        res = lp_feasibility(cols, (2 * big + 1, 2 * big - 1))
+        assert res == Feasible((Fraction(1), Fraction(1)))
+        assert all(type(c) is Fraction for c in res.coefficients)
+        res = lp_feasibility(cols, (big, big + 1))
+        assert isinstance(res, Infeasible)
+        assert all(type(x) is Fraction for x in res.witness)
+        _verify_feasibility(cols, (big, big + 1), res)
+        assert res == reference_lp_feasibility(cols, (big, big + 1))
+
+    def test_spanning_of_nearly_parallel_rays(self):
+        # a is 45 degrees less 1/(2 * 10**17 + 2) radians and b is 225 degrees
+        # less 1/(2 * 10**17): the gap from a to b is just under 180 degrees,
+        # where floats see two opposite rays
+        big = 10**17
+        a, b = (big + 1, big), (-big, -(big - 1))
+        clear_span_cache()
+        assert spanning((a, b, (1, -1)))
+        assert not spanning((a, b, (-1, 1)))
+        assert spanning((a, b, (1, -1), (-1, 1)))
 
     def test_spans_space_rank_deficient(self):
         res = spans_space(((2, 0), (4, 0)))
@@ -266,3 +397,32 @@ class TestLpFeasibility:
             res = lp_feasibility(cols, tgt)
             assert isinstance(res, Feasible)
             _verify_feasibility(cols, tgt, res)
+
+
+class TestIntegerTableau:
+    """lp_feasibility (int tableau) against the Fraction tableau it replaced."""
+
+    def test_same_repr_as_fraction_tableau(self):
+        rng = random.Random(2024)
+        seen = {"feasible": 0, "infeasible": 0}
+        for _ in range(3000):
+            cols, target = _random_lp(rng)
+            got = lp_feasibility(cols, target)
+            assert repr(got) == repr(reference_lp_feasibility(cols, target)), (cols, target)
+            if isinstance(got, Feasible):
+                seen["feasible"] += 1
+                assert all(type(c) is Fraction for c in got.coefficients)
+            else:
+                seen["infeasible"] += 1
+                assert all(type(x) is Fraction for x in got.witness)
+            if target:
+                _verify_feasibility(cols, target, got)
+        assert min(seen.values()) > 500
+
+    def test_degenerate_ties(self):
+        # repeated and zero columns give equal ratios, settled by basis order
+        cols = [P(1, 1), P(1, 1), P(0, 0), P(2, 2), P(1, 0), P(0, 1)]
+        for target in (P(1, 1), P(2, 1), P(0, 0), P(-1, 0), P(3, 3)):
+            assert repr(lp_feasibility(cols, target)) == repr(
+                reference_lp_feasibility(cols, target)
+            )
