@@ -31,7 +31,6 @@ from .cones import (
     clear_span_cache,
     nearest_cone_point,
     pos_membership,
-    separating_witness,
     spanning,
     spans_space,
 )

@@ -23,12 +23,7 @@ from .errors import (
     RecursionInvariantViolation,
     ZeroPoint,
 )
-from .ratlin import (
-    column_null_space,
-    is_zero,
-    neg,
-    same_ray,
-)
+from .ratlin import is_zero, neg, same_ray
 from .steinitz import basis_case, generic_direction
 
 
@@ -158,19 +153,6 @@ def structural_bcase(system: ColourSystem):
     return None if basis is None else BCase(basis)
 
 
-def _is_positive_basis_simplex(rays):
-    """rays (size d+1) form a positive circuit spanning R^d."""
-    pts = sorted(rays)
-    d = len(pts[0])
-    if len(pts) != d + 1:
-        return False
-    deps = column_null_space(pts)  # one dependence iff rank d
-    if len(deps) != 1:
-        return False
-    mu = deps[0]
-    return all(c > 0 for c in mu) or all(c < 0 for c in mu)
-
-
 def structural_pcase(system: ColourSystem):
     d = system.dim
     ray_sets = [frozenset(r) for r in system.rays]
@@ -188,7 +170,7 @@ def structural_pcase(system: ColourSystem):
     minus = tuple(i for i, rs in enumerate(ray_sets) if rs == g_set)
     if len(plus) != d or len(minus) != d:
         return None
-    if len(f_set) != d + 1 or not _is_positive_basis_simplex(f_set):
+    if len(f_set) != d + 1 or not spanning(f_set):
         return None
     points = tuple(tuple(map(Fraction, r)) for r in sorted(f_set))
     return PCase(points, plus, minus)

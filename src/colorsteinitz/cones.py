@@ -1,8 +1,8 @@
 """Conic predicates and certificates.
 
 Membership in a finitely generated cone, the "positively spans the whole
-space" test, exact nearest point on a cone, and separating witnesses.  All
-answers come with machine-checkable certificates over exact rationals.
+space" test and the exact nearest point on a cone.  All answers come with
+machine-checkable certificates over exact rationals.
 """
 
 from __future__ import annotations
@@ -287,9 +287,3 @@ def nearest_cone_point(v: Point, generators) -> NearestPoint:
     (sq, supp), p = best
     return NearestPoint(p, supp, sq)
 
-
-def separating_witness(v: Point, p: Point) -> FarkasWitness:
-    """w = v - p for a nearest cone point p != v; separates v from the cone."""
-    if tuple(v) == tuple(p):
-        raise ValueError("v lies on the cone; no separating witness exists")
-    return FarkasWitness(sub(v, p), tuple(v))

@@ -5,14 +5,14 @@ denominator).  Points are tuples of Fractions; matrices are lists of row
 tuples.  Plain ``int`` coordinates are accepted too and stay exact.
 Everything here is a pure function over immutable values.
 
-The two kernels under every spanning decision compute on ``int`` only, never
-with ``/``: ``rank`` is Bareiss fraction-free elimination on rows scaled to
-integers, and ``lp_feasibility`` is a fraction-free simplex on a tableau
-whose columns are scaled to integers.  A positive column scaling keeps the
-pivots of Bland's rule, so the simplex returns exactly the coefficients and
-witnesses of a Fraction tableau, as Fractions.  ``rref`` (under
-``null_space`` and ``solve_columns``) divides by a ``Fraction`` pivot, never
-``int / int``.
+All elimination is one fraction-free pivot step, ``_pivot`` (Bareiss 1968),
+on ``int`` only and never with ``/``.  ``_echelon`` scales each row to
+coprime integers and pivots forward (``rank``) or Gauss-Jordan (``rref``,
+``null_space``, ``solve_columns``), which only turn the final integers into
+Fractions.  ``lp_feasibility`` is a simplex on a tableau whose columns are
+scaled to integers, pivoted by the same step.  A positive column scaling
+keeps the pivots of Bland's rule, so the simplex returns exactly the
+coefficients and witnesses of a Fraction tableau, as Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ Rat = Fraction
 Point = tuple  # tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def pt(*coords) -> Point:
@@ -132,66 +131,62 @@ def same_ray(a: Point, b: Point) -> bool:
     return primitive_ray(a) == primitive_ray(b)
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            pv = Fraction(pv)  # keeps int rows exact: int / int is a float
-            m[r] = [x / pv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
+def _pivot(m, r, c, den, rows):
+    """One fraction-free pivot (Bareiss 1968) on the int entry p = m[r][c].
 
-
-def rank(rows) -> int:
-    """Rank by Bareiss fraction-free elimination (Bareiss 1968) on ints.
-
-    Each row is first scaled to coprime integers, which keeps the rank.
-    After a pivot p every entry below it becomes (a*p - f*b) // prev, prev
-    being the previous pivot; the division is exact because every entry is
-    a minor of the scaled matrix, so no Fraction is ever built.
+    Maps every listed row i != r to (m[i]*p - m[i][c]*m[r]) // den and
+    returns p, the next ``den``.  While m is den times a rational matrix
+    whose entries are minors of the integer input, the division is exact.
+    A row with m[i][c] == 0 still changes: it is rescaled from den to p.
     """
-    if not rows:
-        return 0
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    prow = m[r]
+    p = prow[c]
+    for i in rows:
+        if i != r:
+            row = m[i]
+            f = row[c]
+            m[i] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+    return p
+
+
+def _echelon(rows, reduced):
+    """Fraction-free echelon form of rows (ints or Fractions), on ints.
+
+    Each row is first scaled to coprime integers, a positive scaling that
+    keeps rank, row space and null space.  Returns (m, pivots, den): pivots
+    are chosen like a textbook Gauss-Jordan loop (the first row with a
+    nonzero entry in the next column), and each pivot clears the rows below
+    it, or with ``reduced`` every other row.  In reduced form every pivot
+    entry equals den, so m / den is the reduced row echelon form.
+    """
+    if len({len(r) for r in rows}) > 1:
         raise DimensionMismatch("matrix is not rectangular")
     m = [_primitive_ints(r) for r in rows]
     nr = len(m)
-    prev = 1
-    r = 0
-    for c in range(widths.pop()):
+    pivots = []
+    den = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, nr) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i in range(r + 1, nr):
-            row = m[i]
-            f = row[c]
-            m[i] = [(a * p - f * b) // prev for a, b in zip(row, pivot_row)]
-        prev = p
-        r += 1
-        if r == nr:
+        den = _pivot(m, r, c, den, range(nr) if reduced else range(r + 1, nr))
+        pivots.append(c)
+        if r + 1 == nr:
             break
-    return r
+    return m, pivots, den
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (rows of Fractions, pivot columns)."""
+    m, pivots, den = _echelon(rows, True)
+    return [[Fraction(x, den) for x in row] for row in m], pivots
+
+
+def rank(rows) -> int:
+    """Rank, by forward fraction-free elimination (``_echelon``)."""
+    return len(_echelon(rows, False)[1])
 
 
 def null_space(rows, ncols=None):
@@ -204,43 +199,38 @@ def null_space(rows, ncols=None):
         ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("ncols required for an empty matrix")
-    m, pivots = rref(rows)
+    m, pivots, den = _echelon(rows, True)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [ZERO] * ncols
-        v[f] = ONE
+        v = [0] * ncols
+        v[f] = den
         for r_i, pc in enumerate(pivots):
             v[pc] = -m[r_i][f]
         basis.append(tuple(map(Fraction, integer_line(v))))
     return basis
 
 
-def column_null_space(cols):
-    """Basis of {mu : sum_j mu_j * cols[j] = 0}."""
-    if not cols:
-        return []
-    d = len(cols[0])
-    rows = [tuple(c[i] for c in cols) for i in range(d)]
-    return null_space(rows, ncols=len(cols))
-
-
 def solve_columns(cols, target):
-    """One exact solution x of sum_j x_j cols[j] = target, or None."""
+    """One exact solution x of sum_j x_j cols[j] = target, or None.
+
+    Free variables are zero, so x is the same for any positive scaling of
+    the equations.
+    """
     n = len(cols)
     d = len(target)
     for c in cols:
         if len(c) != d:
             raise DimensionMismatch("column/target length mismatch")
     aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(d)]
-    m, pivots = rref(aug)
+    m, pivots, den = _echelon(aug, True)
     if n in pivots:
         return None
     x = [ZERO] * n
     for r_i, pc in enumerate(pivots):
-        x[pc] = m[r_i][n]
+        x[pc] = Fraction(m[r_i][n], den)
     return x
 
 
@@ -282,18 +272,18 @@ def lp_feasibility(cols, target):
 
     The tableau holds only ints (Edmonds 1967).  Column j is scaled by c_j,
     the lcm of its denominators, and the target by s, the lcm of its own.
-    The tableau is D (``den``) times the rational one, D being the last
-    pivot (initially 1): pivoting on entry p of row r maps every other row,
-    the reduced-cost row R (``red``) included, to (a*p - f*b) // D, an exact
-    division (D times a rational tableau entry is a minor of the scaled
-    matrix), and leaves row r as it is.  Bland's ratio test pivots only on
-    positive entries, so D stays positive and every sign, and every ratio
-    compared by cross-multiplication, is that of the rational tableau.  The scaling
-    multiplies tableau entry (i, j) by c_j / c_basis[i] (an artificial
-    column has scale 1), R_j by c_j, and every ratio of one test by s / c_e,
-    so the signs of R and the argmin of each ratio test, hence the pivots,
-    the final basis, lam and the dual y, are those of the unscaled problem:
-    lam_j = rhs_i c_j / (D s) for basis[i] = j, and y_i = (D - R_{n+i}) / D.
+    The reduced-cost row R is row d of the tableau, which is D (``den``)
+    times the rational one, D being the last pivot (initially 1): each pivot
+    is one ``_pivot`` over rows 0..d, whose division is exact (D times a
+    rational tableau entry is a minor of the scaled matrix).  Bland's ratio
+    test pivots only on positive entries, so D stays positive and every
+    sign, and every ratio compared by cross-multiplication, is that of the
+    rational tableau.  The scaling multiplies tableau entry (i, j) by
+    c_j / c_basis[i] (an artificial column has scale 1), R_j by c_j, and
+    every ratio of one test by s / c_e, so the signs of R and the argmin of
+    each ratio test, hence the pivots, the final basis, lam and the dual y,
+    are those of the unscaled problem: lam_j = rhs_i c_j / (D s) for
+    basis[i] = j, and y_i = (D - R_{n+i}) / D.
     """
     d = len(target)
     n = len(cols)
@@ -301,7 +291,7 @@ def lp_feasibility(cols, target):
         if len(c) != d:
             raise DimensionMismatch("column/target length mismatch")
     if d == 0:
-        return Feasible(())
+        return Feasible((ZERO,) * n)
 
     # column j times c_j, and the target times s, as ints
     scales = [math.lcm(*(x.denominator for x in c)) for c in cols]
@@ -309,7 +299,7 @@ def lp_feasibility(cols, target):
     s = math.lcm(*(x.denominator for x in target))
     goal = [x.numerator * (s // x.denominator) for x in target]
     sgn = [1 if x >= 0 else -1 for x in goal]
-    # rows: structural columns, artificial columns, right-hand side
+    # rows 0..d-1: structural columns, artificial columns, right-hand side
     tab = []
     for i in range(d):
         row = [sgn[i] * col[i] for col in ints] + [0] * (d + 1)
@@ -317,14 +307,15 @@ def lp_feasibility(cols, target):
         row[-1] = sgn[i] * goal[i]
         tab.append(row)
     basis = list(range(n, n + d))
-    # reduced costs for cost vector (0,...,0,1,...,1), current basis
+    # row d: reduced costs for cost vector (0,...,0,1,...,1), current basis
     # all-artificial; the last entry is minus the phase-1 objective
     red = [-sum(col) for col in zip(*tab)]
     red[n : n + d] = [0] * d
+    tab.append(red)
     den = 1
 
     while True:
-        enter = next((j for j in range(n + d) if red[j] < 0), None)
+        enter = next((j for j in range(n + d) if tab[d][j] < 0), None)
         if enter is None:
             break
         li = None
@@ -340,16 +331,9 @@ def lp_feasibility(cols, target):
                     li, num, piv = i, tab[i][-1], a
         if li is None:
             raise AssertionError("phase-1 objective unbounded")  # pragma: no cover
-        prow = tab[li]
-        for i in range(d):
-            if i != li:
-                row = tab[i]
-                f = row[enter]
-                tab[i] = [(a * piv - f * b) // den for a, b in zip(row, prow)]
-        f = red[enter]
-        red = [(a * piv - f * b) // den for a, b in zip(red, prow)]
-        den = piv
+        den = _pivot(tab, li, enter, den, range(d + 1))
         basis[li] = enter
+    red = tab[d]
 
     # Both checks are exact on the scaled ints: sum lam_j cols[j] = target
     # times D s reads sum x_j ints[j] = D goal with x_j = rhs_i for

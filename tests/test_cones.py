@@ -23,7 +23,6 @@ from colorsteinitz.cones import (
     nearest_cone_point,
     pos_membership,
     refute_spanning,
-    separating_witness,
     spanning,
     spans_space,
 )
@@ -387,28 +386,6 @@ class TestNearestConePoint:
     def test_rejects_oversized_input(self):
         with pytest.raises(ValueError):
             nearest_cone_point(P(1, 1), [P(1, 0), P(0, 1), P(1, 1)])
-
-
-class TestSeparatingWitness:
-    def test_apex_case(self):
-        w = separating_witness(P(-1, 0), P(0, 0))
-        assert w.w == P(-1, 0)
-        assert w.verify([P(0, 1)])
-
-    def test_ray_case(self):
-        w = separating_witness(P(1, 1), P(1, 0))
-        assert w.w == P(0, 1)
-        assert dot(w.w, P(1, 0)) <= 0
-        assert dot(w.w, P(1, 1)) > 0
-
-    def test_two_generator_case(self):
-        w = separating_witness(P(0, -2), P(0, 0))
-        assert w.w == P(0, -2)
-        assert w.verify([P(1, 0), P(0, 1)])
-
-    def test_rejects_interior_point(self):
-        with pytest.raises(ValueError):
-            separating_witness(P(1, 1), P(1, 1))
 
 
 class TestDimensionChecks:

@@ -68,7 +68,15 @@ def test_no_unreferenced_private_definitions():
 
 
 # The integer kernels of ratlin: in int code a "/" is a float.
-INT_KERNELS = ("lp_feasibility", "rank")
+INT_KERNELS = (
+    "_pivot",
+    "_echelon",
+    "rank",
+    "rref",
+    "null_space",
+    "solve_columns",
+    "lp_feasibility",
+)
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}
 

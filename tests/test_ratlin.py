@@ -12,7 +12,6 @@ from colorsteinitz.errors import DimensionMismatch, ParseError
 from colorsteinitz.ratlin import (
     Feasible,
     Infeasible,
-    column_null_space,
     dot,
     in_linear_hull,
     integer_line,
@@ -75,9 +74,9 @@ def reference_lp_feasibility(cols, target):
     """
     d = len(target)
     n = len(cols)
-    if d == 0:
-        return Feasible(())
     zero, one = Fraction(0), Fraction(1)
+    if d == 0:
+        return Feasible((zero,) * n)
     sgn = [one if target[i] >= 0 else -one for i in range(d)]
     tab = [
         [sgn[i] * cols[j][i] for j in range(n)] + [one if k == i else zero for k in range(d)]
@@ -117,6 +116,86 @@ def reference_lp_feasibility(cols, target):
         return Feasible(tuple(lam))
     w = tuple(sgn[i] * (1 - red[n + i]) for i in range(d))
     return Infeasible(primitive_ray(w))
+
+
+def reference_rref(rows):
+    """The Fraction Gauss-Jordan loop that rref replaced: divide the pivot
+    row by its pivot, then clear the pivot column in every other row."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            pv = Fraction(pv)
+            m[r] = [x / pv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def reference_null_space(rows, ncols):
+    """null_space built on reference_rref."""
+    m, pivots = reference_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][f]
+        basis.append(tuple(map(Fraction, integer_line(v))))
+    return basis
+
+
+def reference_solve_columns(cols, target):
+    """solve_columns built on reference_rref."""
+    n = len(cols)
+    aug = [[c[i] for c in cols] + [target[i]] for i in range(len(target))]
+    m, pivots = reference_rref(aug)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][n]
+    return x
+
+
+def _random_matrix(rng):
+    """A seeded matrix: 1..6 rows of 0..6 columns, int, Fraction or mixed
+    entries, and zero, repeated and proportional rows."""
+    nr, nc = rng.randint(1, 6), rng.randint(0, 6)
+    kind = rng.choice(("int", "fraction", "mixed"))
+    rows = []
+    for _ in range(nr):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append((0,) * nc)
+            continue
+        if rows and roll < 0.35:
+            rows.append(tuple(rng.randint(-3, 3) * x for x in rng.choice(rows)))
+            continue
+        row = [rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(nc)]
+        if kind != "int":
+            row = [
+                Fraction(x, rng.randint(1, 5)) if kind == "fraction" or j % 2 else x
+                for j, x in enumerate(row)
+            ]
+        rows.append(tuple(row))
+    return rows
 
 
 def _random_lp(rng):
@@ -165,27 +244,19 @@ class TestRank:
         assert rank([]) == 0
 
     def test_non_rectangular(self):
-        with pytest.raises(DimensionMismatch):
-            rank([P(1, 0), P(1,)])
+        for f, rows in (
+            (rank, [P(1, 0), P(1)]),
+            (rref, [(1, 2), (3,)]),
+            (null_space, [(0, 1), (1, 2, 3)]),
+        ):
+            with pytest.raises(DimensionMismatch):
+                f(rows)
 
     def test_against_rref(self):
         rng = random.Random(5)
         for _ in range(400):
-            nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-            kind = rng.choice(("int", "fraction", "mixed"))
-            rows = []
-            for _ in range(nr):
-                if rows and rng.random() < 0.25:
-                    rows.append(tuple(rng.randint(-3, 3) * x for x in rng.choice(rows)))
-                    continue
-                row = [rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(nc)]
-                if kind != "int":
-                    row = [
-                        Fraction(x, rng.randint(1, 5)) if kind == "fraction" or j % 2 else x
-                        for j, x in enumerate(row)
-                    ]
-                rows.append(tuple(row))
-            assert rank(rows) == len(rref(rows)[1])
+            rows = _random_matrix(rng)
+            assert rank(rows) == len(reference_rref(rows)[1])
 
     def test_against_bareiss_oracle(self):
         rng = random.Random(7)
@@ -235,15 +306,31 @@ class TestSolveAndNullSpace:
         basis = null_space([P(1, 1)])
         assert basis == [P(1, -1)]
 
-    def test_column_null_space_dependence(self):
-        deps = column_null_space([P(1, 0), P(0, 1), P(-1, -1)])
-        assert len(deps) == 1
-        mu = deps[0]
-        acc = [
-            sum(mu[j] * col[i] for j, col in enumerate([P(1, 0), P(0, 1), P(-1, -1)]))
-            for i in range(2)
-        ]
-        assert acc == [0, 0]
+
+class TestFractionFreeEchelon:
+    """rref, null_space and solve_columns against the Fraction loop they replaced."""
+
+    def test_same_answers_as_fraction_rref(self):
+        rng = random.Random(2025)
+        for _ in range(3000):
+            rows = _random_matrix(rng)
+            m, pivots = rref(rows)
+            want_m, want_pivots = reference_rref(rows)
+            assert (m, pivots) == (want_m, want_pivots), rows
+            assert all(type(x) is Fraction for row in m for x in row)
+            ncols = len(rows[0])
+            basis = null_space(rows)
+            assert basis == reference_null_space(rows, ncols), rows
+            assert all(type(x) is Fraction for v in basis for x in v)
+            # the rows as columns, solved for a random target and for one in their span
+            cols = rows
+            target = tuple(rng.randint(-3, 3) for _ in range(ncols))
+            if rng.random() < 0.5:
+                target = tuple(sum(rng.randint(-2, 2) * c[i] for c in cols) for i in range(ncols))
+            x = solve_columns(cols, target)
+            assert x == reference_solve_columns(cols, target), (cols, target)
+            if x is not None:
+                assert all(type(c) is Fraction for c in x)
 
 
 class TestIntCoordinates:
@@ -373,6 +460,13 @@ class TestLpFeasibility:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             lp_feasibility([P(1, 0, 0)], P(1, 0))
+
+    def test_zero_dimension(self):
+        # in R^0 every target is the zero combination of the n columns
+        res = lp_feasibility([(), ()], ())
+        assert res == Feasible((Fraction(0), Fraction(0)))
+        assert all(type(c) is Fraction for c in res.coefficients)
+        assert lp_feasibility([], ()) == Feasible(())
 
     @settings(max_examples=150, deadline=None)
     @given(
