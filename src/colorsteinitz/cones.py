@@ -7,6 +7,7 @@ machine-checkable certificates over exact rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation,
 from .ratlin import (
     Feasible,
     Point,
+    _echelon,
+    _int_dot,
     add,
     dot,
     integer_ray,
@@ -23,8 +26,6 @@ from .ratlin import (
     null_space,
     rank,
     scale,
-    solve_columns,
-    sub,
     unit,
     zero_point,
 )
@@ -57,7 +58,8 @@ class ConicCertificate:
 
 @dataclass(frozen=True)
 class FarkasWitness:
-    """Direction w with <w, a> <= 0 for every refuted generator, <w, target> > 0."""
+    """Nonzero direction w with <w, a> <= 0 for every refuted generator,
+    <w, target> > 0."""
 
     w: Point
     target: Point = None
@@ -65,7 +67,7 @@ class FarkasWitness:
     def verify(self, generators, target=None) -> bool:
         if target is None:
             target = self.target
-        if any(dot(self.w, a) > 0 for a in generators):
+        if is_zero(self.w) or any(dot(self.w, a) > 0 for a in generators):
             return False
         return target is None or dot(self.w, target) > 0
 
@@ -248,9 +250,23 @@ def require_spanning(generators, colour=None, rays=None):
 def nearest_cone_point(v: Point, generators) -> NearestPoint:
     """Exact Euclidean-nearest point of pos(generators) to v.
 
-    Enumerates linearly independent support subsets and keeps the one whose
-    interior conic combination satisfies the exact optimality inequalities.
-    Requires len(generators) <= d, which keeps the enumeration desk-scale.
+    Enumerates the support subsets and keeps the one whose interior conic
+    combination satisfies the exact optimality inequalities; ties go to the
+    least support tuple.  Requires len(generators) <= d, which keeps the
+    enumeration desk-scale.
+
+    The work is on ints: each generator becomes its integer_ray r_i, v is
+    scaled by s, the lcm of its denominators, and each support solves the
+    normal equations of the integer Gram matrix with one fraction-free
+    ``_echelon``.  Fewer than k pivots on a k-support means dependent rays.
+    Otherwise the Gram submatrix is positive definite, so no rows swap and
+    den, a leading principal minor of it (rows scaled by positive factors),
+    is positive.  In reduced form lambda_i = m[i][k] / den, P = sum
+    m[i][k] r_i is den times the scaled point and W = den s v - P is den
+    times the scaled residual, so the tests read m[i][k] > 0 and
+    <W, r> <= 0.  The cone, its nearest point, the supports that pass and
+    sqdist = <W, W> / (den s)^2 do not change under positive scaling of the
+    generators, so the answer is that of the rational problem.
     """
     d = len(v)
     _check_dims(generators, d)
@@ -258,32 +274,29 @@ def nearest_cone_point(v: Point, generators) -> NearestPoint:
     if n > d:
         raise ValueError("nearest_cone_point expects a transversal-sized set (<= d points)")
 
+    rays = [integer_ray(g) for g in generators]
+    s = math.lcm(*(x.denominator for x in v))
+    vs = [x.numerator * (s // x.denominator) for x in v]
+    gram = [[_int_dot(a, b) for b in rays] for a in rays]
+    rhs = [_int_dot(a, vs) for a in rays]
     best = None
     for mask in range(1 << n):
         supp = tuple(i for i in range(n) if mask >> i & 1)
-        pts = [generators[i] for i in supp]
-        if pts and rank(pts) < len(pts):
+        k = len(supp)
+        m, pivots, den = _echelon([[gram[i][j] for j in supp] + [rhs[i]] for i in supp], True)
+        if len(pivots) < k:
             continue
-        if supp:
-            gram_cols = [tuple(dot(a, b) for a in pts) for b in pts]
-            rhs = tuple(dot(a, v) for a in pts)
-            lam = solve_columns(gram_cols, rhs)
-            if lam is None or any(c <= 0 for c in lam):
-                continue
-            p = zero_point(d)
-            for c, a in zip(lam, pts):
-                p = add(p, scale(c, a))
-        else:
-            p = zero_point(d)
-        w = sub(v, p)
-        if any(dot(w, a) > 0 for a in generators):
+        lam = [row[k] for row in m]
+        if any(c <= 0 for c in lam):
             continue
-        sq = dot(w, w)
-        key = (sq, supp)
+        p = [sum(c * rays[i][x] for c, i in zip(lam, supp)) for x in range(d)]
+        w = [den * a - b for a, b in zip(vs, p)]
+        if any(_int_dot(w, r) > 0 for r in rays):
+            continue
+        key = (Fraction(_int_dot(w, w), (den * s) ** 2), supp)
         if best is None or key < best[0]:
-            best = (key, p)
+            best = (key, p, den)
     if best is None:  # pragma: no cover - projection always exists
         raise AssertionError("no KKT point found for cone projection")
-    (sq, supp), p = best
-    return NearestPoint(p, supp, sq)
-
+    (sq, supp), p, den = best
+    return NearestPoint(tuple(Fraction(x, den * s) for x in p), supp, sq)

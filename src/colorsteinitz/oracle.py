@@ -12,11 +12,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from .colorful import ColourSystem, Transversal, structural_bcase, structural_pcase
 from .cones import spanning
 from .errors import BudgetExceeded, RecursionInvariantViolation
-from .ratlin import Point, primitive_ray, unit
+from .ratlin import Point, integer_ray, unit
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -123,7 +124,7 @@ def min_spanning_subset_size(points, budget=DEFAULT_BUDGET):
 
 def _unimodular_map(d, rng, steps=None):
     """Random integer matrix with determinant +-1, as a list of rows."""
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     if steps is None:
         steps = 3 * d
     for _ in range(steps):
@@ -131,7 +132,7 @@ def _unimodular_map(d, rng, steps=None):
         i = rng.randrange(d)
         j = rng.randrange(d)
         if op == 0 and i != j:
-            f = Fraction(rng.choice([-2, -1, 1, 2]))
+            f = rng.choice([-2, -1, 1, 2])
             m[i] = [a + f * b for a, b in zip(m[i], m[j])]
         elif op == 1 and i != j:
             m[i], m[j] = m[j], m[i]
@@ -141,7 +142,7 @@ def _unimodular_map(d, rng, steps=None):
 
 
 def _apply_map(m, p: Point) -> Point:
-    return tuple(sum((row[k] * p[k] for k in range(len(p))), Fraction(0)) for row in m)
+    return tuple(sum(map(mul, row, p)) for row in m)
 
 
 def _transform_system(system: ColourSystem, m) -> ColourSystem:
@@ -170,22 +171,24 @@ def generate_pcase(d: int, transform_seed=None) -> ColourSystem:
 
 
 def _random_spanning_set(d, size, rng, coord_bound=3, attempts=2000):
+    """size int points on distinct rays that span, drawn until they do,
+    returned as Fraction points."""
     for _ in range(attempts):
         pts = []
         rays = set()
         tries = 0
         while len(pts) < size and tries < 200:
             tries += 1
-            p = tuple(Fraction(rng.randint(-coord_bound, coord_bound)) for _ in range(d))
-            if all(x == 0 for x in p):
+            p = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
+            if not any(p):
                 continue
-            r = primitive_ray(p)
+            r = integer_ray(p)
             if r in rays:
                 continue
             rays.add(r)
             pts.append(p)
-        if len(pts) == size and spanning(tuple(pts)):
-            return tuple(pts)
+        if len(pts) == size and spanning(rays):
+            return tuple(tuple(map(Fraction, p)) for p in pts)
     raise BudgetExceeded("could not sample a spanning set within the attempt budget")
 
 

@@ -42,8 +42,9 @@ def _hull_normals(lines, d, plan):
     """Integer vectors spanning the orthogonal complement of span(lines).
 
     d-1 independent lines have one normal, their signed (d-1)-minors (the
-    generalised cross product), made primitive so that equal hulls compare
-    equal.  Otherwise the exact null space basis, which is canonical.
+    generalised cross product), returned as computed: it is not made
+    primitive, so equal hulls can have different normals.  Otherwise the
+    exact null space basis, which is canonical.
     """
     if len(lines) == d - 1:
         minors = lines[0]
@@ -57,8 +58,8 @@ def _hull_normals(lines, d, plan):
             minors = new
         # the (d-1)-subsets run from the one missing column d-1 to the one
         # missing column 0; cofactor j is (-1)^j times the minor missing j
-        normal = integer_line([(-1) ** j * minors[d - 1 - j] for j in range(d)])
-        if normal is not None:
+        normal = tuple((-1) ** j * minors[d - 1 - j] for j in range(d))
+        if any(normal):
             return (normal,)
     return tuple(tuple(int(x) for x in b) for b in null_space(lines, ncols=d))
 
@@ -70,14 +71,15 @@ def generic_direction(points):
     t >= 1 such that v lies in the linear span of no min(d-1, n) of the n
     input points.  Each hull is described once: points become primitive
     integer lines, every min(d-1, L) of the L distinct nonzero lines span
-    one hull (zero points, repeats and antipodes add nothing), and equal
-    hulls are merged by their integer normals.  v(t) is in a hull iff every
-    normal n of it has n . v(t) = 0, an integer test.
+    one hull (zero points, repeats and antipodes add nothing), and hulls
+    with identical tuples of integer normals are merged.  v(t) is in a hull
+    iff every normal n of it has n . v(t) = 0, an integer test.
 
     Walk bound: n . v(t) is a nonzero polynomial of degree <= d-1 in t, so
-    each of the H distinct hulls rules out at most d-1 values of t, and
-    some t <= (d-1)*H + 1 is accepted.  Passing that bound raises
-    RecursionInvariantViolation.
+    each of the H distinct normal tuples (at least the number of distinct
+    hulls, since a hull's cross-product normal is not made primitive) rules
+    out at most d-1 values of t, and some t <= (d-1)*H + 1 is accepted.
+    Passing that bound raises RecursionInvariantViolation.
     """
     points = list(points)
     if not points:

@@ -17,6 +17,7 @@ from colorsteinitz.colorful import ColourSystem, classify, colorful_transversal
 from colorsteinitz.cones import (
     ConicCertificate,
     FarkasWitness,
+    NearestPoint,
     SpanCertificate,
     clear_span_cache,
     integer_rays,
@@ -33,7 +34,16 @@ from colorsteinitz.errors import (
 )
 from colorsteinitz.instancefile import InstanceFile, emit_instance
 from colorsteinitz.oracle import enumerate_report, generate_random
-from colorsteinitz.ratlin import dot, integer_ray, rank, sub
+from colorsteinitz.ratlin import (
+    add,
+    dot,
+    integer_ray,
+    rank,
+    scale,
+    solve_columns,
+    sub,
+    zero_point,
+)
 from colorsteinitz.steinitz import refine_below_2d, steinitz_reduce
 
 from conftest import pt as P, simplex, units
@@ -64,6 +74,13 @@ class TestPosMembership:
         assert isinstance(res, ConicCertificate)
         assert res.verify([P(1, 0), P(0, 1)])
         assert res.coefficients == (Fraction(1), Fraction(1))
+
+    def test_zero_witness_refutes_nothing(self):
+        # checkcert rejects a zero witness; verify must agree, with or without a target
+        assert not FarkasWitness(P(0, 0)).verify(units(2))
+        assert not FarkasWitness((0, 0), P(1, 0)).verify([P(0, 1)])
+        assert not FarkasWitness(P(0, 0)).verify([P(1, 0)], target=P(1, 0))
+        assert FarkasWitness(P(0, -1)).verify([P(1, 0), P(0, 1)])
 
     def test_not_member(self):
         gens = [P(1, 0), P(0, 1), P(1, 1)]
@@ -346,7 +363,98 @@ class TestDisagreementGuard:
         assert "spans_space certified a set that spanning rejected" in capsys.readouterr().err
 
 
+def reference_nearest_cone_point(v, generators):
+    """The Fraction nearest_cone_point that the integer kernel replaced: a
+    rank test and a solve_columns on the rational Gram matrix per support."""
+    d = len(v)
+    n = len(generators)
+    best = None
+    for mask in range(1 << n):
+        supp = tuple(i for i in range(n) if mask >> i & 1)
+        pts = [generators[i] for i in supp]
+        if pts and rank(pts) < len(pts):
+            continue
+        if supp:
+            gram_cols = [tuple(dot(a, b) for a in pts) for b in pts]
+            rhs = tuple(dot(a, v) for a in pts)
+            lam = solve_columns(gram_cols, rhs)
+            if lam is None or any(c <= 0 for c in lam):
+                continue
+            p = zero_point(d)
+            for c, a in zip(lam, pts):
+                p = add(p, scale(c, a))
+        else:
+            p = zero_point(d)
+        w = sub(v, p)
+        if any(dot(w, a) > 0 for a in generators):
+            continue
+        key = (dot(w, w), supp)
+        if best is None or key < best[0]:
+            best = (key, p)
+    (sq, supp), p = best
+    return NearestPoint(p, supp, sq)
+
+
+def _cone_inputs():
+    """Seeded (v, generators) for d = 1..4 and n = 0..d: int, Fraction or
+    mixed coordinates; zero, repeated, rescaled and antiparallel generators;
+    v inside the cone, on its boundary, outside it, or zero."""
+    rng = random.Random(31)
+    cases = []
+    for case in range(3200):
+        d = case % 4 + 1
+        n = max(0, rng.choice((d, d, d - 1, rng.randint(0, d))))
+        kind = rng.choice(("int", "fraction", "mixed"))
+
+        def coord(j):
+            x = rng.randint(-3, 3)
+            if kind == "fraction" or (kind == "mixed" and j % 2):
+                return Fraction(x, rng.randint(1, 4))
+            return x
+
+        gens = []
+        for _ in range(n):
+            roll = rng.random()
+            if gens and roll < 0.3:  # a repeat, a rescaling or an antipode
+                g = rng.choice(gens)
+                gens.append(tuple(x * rng.choice((1, 2, Fraction(1, 3), -1)) for x in g))
+            elif roll < 0.4:
+                gens.append((0,) * d)
+            else:
+                gens.append(tuple(coord(j) for j in range(d)))
+        where = rng.choice(("inside", "boundary", "outside") * 3 + ("zero",))
+        if where == "zero":
+            v = (0,) * d
+        elif where == "outside" or not gens:
+            v = tuple(coord(j) for j in range(d))
+        else:
+            # inside: positive weight on every generator; boundary: zero on some
+            weights = [rng.randint(1, 3) for _ in gens]
+            if where == "boundary":
+                weights[rng.randrange(len(gens))] = 0
+            v = tuple(sum(c * g[j] for c, g in zip(weights, gens)) for j in range(d))
+        cases.append((v, gens))
+    return cases
+
+
 class TestNearestConePoint:
+    def test_same_answers_as_fraction_kernel(self):
+        cases = _cone_inputs()
+        assert len(cases) >= 3000
+        hits = 0
+        for v, gens in cases:
+            got = nearest_cone_point(v, gens)
+            want = reference_nearest_cone_point(v, gens)
+            assert (got.point, got.support, got.sqdist) == (
+                want.point,
+                want.support,
+                want.sqdist,
+            ), (v, gens)
+            assert all(type(x) is Fraction for x in got.point + (got.sqdist,)), (v, gens)
+            hits += got.sqdist == 0
+        # both answers occur often: v in the cone and v strictly outside
+        assert 500 <= hits <= len(cases) - 500
+
     def test_inside_cone(self):
         res = nearest_cone_point(P(1, 1), [P(1, 0), P(0, 1)])
         assert res.point == P(1, 1)

@@ -67,28 +67,32 @@ def test_no_unreferenced_private_definitions():
     assert dead == []
 
 
-# The integer kernels of ratlin: in int code a "/" is a float.
-INT_KERNELS = (
-    "_pivot",
-    "_echelon",
-    "rank",
-    "rref",
-    "null_space",
-    "solve_columns",
-    "lp_feasibility",
-)
+# The integer kernels, by module: in int code a "/" is a float.
+INT_KERNELS = {
+    "ratlin.py": (
+        "_pivot",
+        "_echelon",
+        "rank",
+        "rref",
+        "null_space",
+        "solve_columns",
+        "lp_feasibility",
+    ),
+    "cones.py": ("nearest_cone_point",),
+}
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}
 
 
 def test_no_true_division_in_integer_kernels():
-    tree = _modules()["ratlin.py"]
-    kernels = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    modules = _modules()
     found = []
-    for name in INT_KERNELS:
-        for node in ast.walk(kernels[name]):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                found.append(f"ratlin.py:{node.lineno} {name}")
+    for module, names in INT_KERNELS.items():
+        kernels = {n.name: n for n in modules[module].body if isinstance(n, ast.FunctionDef)}
+        for name in names:
+            for node in ast.walk(kernels[name]):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                    found.append(f"{module}:{node.lineno} {name}")
     assert found == []
 
 
