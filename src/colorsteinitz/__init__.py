@@ -57,7 +57,6 @@ from .ratlin import (
     Feasible,
     Infeasible,
     Point,
-    Rat,
     dot,
     in_linear_hull,
     lp_feasibility,

@@ -77,15 +77,3 @@ def render_transversal(picks, cert: SpanCertificate, generators) -> str:
     lines.append("END")
     return "\n".join(lines) + "\n"
 
-
-def emit_certificate(result, generators, picks=None) -> str:
-    """Render whichever certificate-bearing result is passed in."""
-    if isinstance(result, SpanCertificate):
-        if picks is not None:
-            return render_transversal(picks, result, generators)
-        return render_span(result, generators)
-    if isinstance(result, ConicCertificate):
-        return render_conic(result, generators)
-    if isinstance(result, FarkasWitness):
-        return render_farkas(result, generators)
-    raise TypeError(f"no certificate form for {type(result).__name__}")

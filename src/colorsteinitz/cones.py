@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation, ZeroPoint
 from .ratlin import (
@@ -250,23 +251,28 @@ def require_spanning(generators, colour=None, rays=None):
 def nearest_cone_point(v: Point, generators) -> NearestPoint:
     """Exact Euclidean-nearest point of pos(generators) to v.
 
-    Enumerates the support subsets and keeps the one whose interior conic
-    combination satisfies the exact optimality inequalities; ties go to the
-    least support tuple.  Requires len(generators) <= d, which keeps the
-    enumeration desk-scale.
+    Walks the supports in lexicographic tuple order and returns the first
+    whose solution lambda of the normal equations is strictly positive and
+    whose residual W = v - P meets <W, r> <= 0 for every generator r.  Then
+    P lies in the cone and, as W is orthogonal to P, <W, x - P> <= 0 for
+    every x in it, so P is the projection.  That is unique, so every passing
+    support gives the same point and sqdist, and the first one is the least
+    passing support: the answer a minimum over (sqdist, support) would give.
+    Requires len(generators) <= d, which keeps the 2^n supports desk-scale.
 
     The work is on ints: each generator becomes its integer_ray r_i, v is
     scaled by s, the lcm of its denominators, and each support solves the
     normal equations of the integer Gram matrix with one fraction-free
-    ``_echelon``.  Fewer than k pivots on a k-support means dependent rays.
-    Otherwise the Gram submatrix is positive definite, so no rows swap and
-    den, a leading principal minor of it (rows scaled by positive factors),
-    is positive.  In reduced form lambda_i = m[i][k] / den, P = sum
-    m[i][k] r_i is den times the scaled point and W = den s v - P is den
-    times the scaled residual, so the tests read m[i][k] > 0 and
-    <W, r> <= 0.  The cone, its nearest point, the supports that pass and
-    sqdist = <W, W> / (den s)^2 do not change under positive scaling of the
-    generators, so the answer is that of the rational problem.
+    ``_echelon``.  On independent rays the Gram submatrix is positive
+    definite, so no rows swap and den, a leading principal minor of it
+    (rows scaled by positive factors), is positive.  In reduced form
+    lambda_i = m[i][k] / den, P = sum m[i][k] r_i is den times the scaled
+    point and W = den s v - P is den times the scaled residual, so the tests
+    read m[i][k] > 0 and <W, r> <= 0.  Dependent rays fail on their own:
+    their Gram system is consistent, so its reduced form has a zero row,
+    whose lambda reads 0.  The cone, its nearest point, the supports that
+    pass and sqdist = <W, W> / (den s)^2 do not change under positive
+    scaling of the generators, so the answer is that of the rational problem.
     """
     d = len(v)
     _check_dims(generators, d)
@@ -279,24 +285,15 @@ def nearest_cone_point(v: Point, generators) -> NearestPoint:
     vs = [x.numerator * (s // x.denominator) for x in v]
     gram = [[_int_dot(a, b) for b in rays] for a in rays]
     rhs = [_int_dot(a, vs) for a in rays]
-    best = None
-    for mask in range(1 << n):
-        supp = tuple(i for i in range(n) if mask >> i & 1)
-        k = len(supp)
-        m, pivots, den = _echelon([[gram[i][j] for j in supp] + [rhs[i]] for i in supp], True)
-        if len(pivots) < k:
-            continue
-        lam = [row[k] for row in m]
+    for supp in sorted(c for k in range(n + 1) for c in combinations(range(n), k)):
+        m, _, den = _echelon([[gram[i][j] for j in supp] + [rhs[i]] for i in supp], True)
+        lam = [row[-1] for row in m]
         if any(c <= 0 for c in lam):
             continue
         p = [sum(c * rays[i][x] for c, i in zip(lam, supp)) for x in range(d)]
         w = [den * a - b for a, b in zip(vs, p)]
-        if any(_int_dot(w, r) > 0 for r in rays):
-            continue
-        key = (Fraction(_int_dot(w, w), (den * s) ** 2), supp)
-        if best is None or key < best[0]:
-            best = (key, p, den)
-    if best is None:  # pragma: no cover - projection always exists
-        raise AssertionError("no KKT point found for cone projection")
-    (sq, supp), p, den = best
-    return NearestPoint(tuple(Fraction(x, den * s) for x in p), supp, sq)
+        if all(_int_dot(w, r) <= 0 for r in rays):
+            q = den * s
+            sqdist = Fraction(_int_dot(w, w), q * q)
+            return NearestPoint(tuple(Fraction(x, q) for x in p), supp, sqdist)
+    raise AssertionError("no KKT point found for cone projection")  # pragma: no cover

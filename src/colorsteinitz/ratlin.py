@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, ParseError
 
-Rat = Fraction
 Point = tuple  # tuple[Fraction, ...]
 
 ZERO = Fraction(0)

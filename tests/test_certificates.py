@@ -57,13 +57,6 @@ class TestRenderAndCheck:
         text = certio.render_transversal(tv.picks, cert, tv.points(sys_))
         assert check_text(text) == ["transversal"]
 
-    def test_emit_certificate_dispatch(self):
-        gens = [P(1, 0), P(0, 1), P(1, 1)]
-        cert = pos_membership(P(3, 1), gens)
-        assert certio.emit_certificate(cert, gens).startswith("CERT conic")
-        with pytest.raises(TypeError):
-            certio.emit_certificate(object(), gens)
-
     def test_multiple_blocks(self):
         text = span_cert_text() + span_cert_text()
         assert check_text(text) == ["span", "span"]

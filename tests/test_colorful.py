@@ -132,6 +132,14 @@ class TestColorfulTransversal:
         assert tv.size() == 6
         assert cert.verify(tv.points(sys_))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_d4_certificate_checks(self, seed):
+        sys_ = generate_random(4, seed=seed)
+        tv, cert = colorful_transversal(sys_)
+        assert [c for c, _ in tv.picks] == list(range(8))
+        text = certio.render_transversal(tv.picks, cert, tv.points(sys_))
+        assert check_text(text) == ["transversal"]
+
     def test_not_spanning_rejected(self):
         sets = (units(2),) * 3 + ((P(1, 0), P(0, 1)),)
         sys_ = ColourSystem(2, sets)
@@ -198,6 +206,46 @@ class TestClassify:
             for i, s in enumerate(sys_.sets)
         )
         assert isinstance(classify(ColourSystem(2, sets)), PCase)
+
+
+def _one_ray_edits_d3(count=40, seed=11):
+    """A seeded sample of the one-ray edits of generate_bcase(3) and
+    generate_pcase(3): add a primitive ray of {-1,0,1}^3 to one colour, or
+    replace one of its rays by such a ray where the colour still spans."""
+    rays = [r for r in product((-1, 0, 1), repeat=3) if any(r) and integer_ray(r) == r]
+    edits = []
+    for base in (generate_bcase(3), generate_pcase(3)):
+        for c, points in enumerate(base.sets):
+            have = {integer_ray(p) for p in points}
+            for r in rays:
+                if r in have:
+                    continue
+                new_sets = [points + (P(*r),)]
+                new_sets += [points[:e] + (P(*r),) + points[e + 1 :] for e in range(len(points))]
+                for s in new_sets:
+                    if spanning(s):
+                        edits.append(ColourSystem(3, base.sets[:c] + (s,) + base.sets[c + 1 :]))
+    return random.Random(seed).sample(edits, count)
+
+
+class TestBoundaryAtD3:
+    """The characterisation next to the structural families: a system needs
+    all 2d = 6 colours iff it is BCase or PCase.  All 594 edits are Neither,
+    252 of them at the tightest size 2d - 1 = 5."""
+
+    def test_one_ray_edits_and_their_bases(self):
+        sizes = []
+        for sys_ in [generate_bcase(3), generate_pcase(3)] + _one_ray_edits_d3():
+            res = classify(sys_)
+            size = min_spanning_partial_size(sys_)
+            sizes.append(size)
+            assert isinstance(res, (BCase, PCase)) == (size == 6), sys_
+            if isinstance(res, Neither):
+                tv = res.witness
+                assert tv.size() <= 5
+                text = certio.render_transversal(tv.picks, res.certificate, tv.points(sys_))
+                assert check_text(text) == ["transversal"]
+        assert sizes[:2] == [6, 6] and 5 in sizes[2:]
 
 
 class TestFindSmallTransversal:

@@ -38,6 +38,8 @@ from colorsteinitz.ratlin import (
     add,
     dot,
     integer_ray,
+    neg,
+    null_space,
     rank,
     scale,
     solve_columns,
@@ -437,6 +439,59 @@ def _cone_inputs():
     return cases
 
 
+def _degenerate_face_inputs():
+    """Seeded (v, generators, point, sqdist) at d = 3, 4 whose nearest point
+    lies on a degenerate face F, with the point and sqdist known by
+    construction.  Families: three coplanar generators on F; parallel
+    generators on F (a repeat or rescaling, and its antipode); v on a 2-face
+    of independent generators.  v is a nonnegative combination x of F plus a
+    normal u of F, or x itself; every other generator g has <u, g> <= 0, so
+    x is the projection and |u|^2 the sqdist."""
+    rng = random.Random(47)
+
+    def vec(d):
+        return tuple(rng.randint(-3, 3) for _ in range(d))
+
+    cases = []
+    for case in range(240):
+        d = 3 + case % 2
+        family = ("coplanar", "parallel", "2-face")[case // 2 % 3]
+        a, b = vec(d), vec(d)
+        if rank([a, b]) < 2:
+            continue
+        if family == "coplanar":
+            face = [a, b, add(scale(rng.randint(1, 2), a), scale(rng.randint(1, 2), b))]
+        elif family == "parallel":
+            face = [a, scale(rng.choice((1, 2, Fraction(1, 3))), a)] + ([neg(a)] if d == 4 else [])
+        else:
+            face = [a, b]
+        weights = [rng.randint(1, 2) for _ in face]
+        if family == "parallel":
+            weights[-1] = rng.randint(0, 1)  # x may cancel to the apex
+        x = tuple(sum(c * g[j] for c, g in zip(weights, face)) for j in range(d))
+        normals = [scale(rng.randint(-2, 2), n) for n in null_space(face)]
+        u = tuple(map(sum, zip(zero_point(d), *normals)))
+        if family == "2-face" and rng.random() < 0.5:
+            u = zero_point(d)
+        others = []
+        while len(face) + len(others) < d:
+            g = vec(d)
+            others.append(neg(g) if dot(u, g) > 0 else g)
+        gens = face + others
+        rng.shuffle(gens)
+        cases.append((add(x, u), gens, tuple(map(Fraction, x)), dot(u, u)))
+    e1, e2, e3 = units(3)[::2]
+    cases += [
+        # coplanar: e1, e2, e1 + e2 below v = (1, 1, 1)
+        (P(1, 1, 1), [e1, e2, add(e1, e2)], P(1, 1, 0), 1),
+        # parallel: e1 twice, v over it
+        (P(2, 1, 0), [e1, scale(2, e1), e3], P(2, 0, 0), 1),
+        # v on the 2-face pos(e1, e2) of the orthant
+        (P(1, 2, 0), [e1, e2, e3], P(1, 2, 0), 0),
+    ]
+    return cases
+
+
 class TestNearestConePoint:
     def test_same_answers_as_fraction_kernel(self):
         cases = _cone_inputs()
@@ -454,6 +509,19 @@ class TestNearestConePoint:
             hits += got.sqdist == 0
         # both answers occur often: v in the cone and v strictly outside
         assert 500 <= hits <= len(cases) - 500
+
+    def test_degenerate_faces(self):
+        cases = _degenerate_face_inputs()
+        assert len(cases) >= 200
+        for v, gens, point, sqdist in cases:
+            got = nearest_cone_point(v, gens)
+            want = reference_nearest_cone_point(v, gens)
+            assert (got.point, got.support, got.sqdist) == (
+                want.point,
+                want.support,
+                want.sqdist,
+            ), (v, gens)
+            assert (got.point, got.sqdist) == (point, sqdist), (v, gens)
 
     def test_inside_cone(self):
         res = nearest_cone_point(P(1, 1), [P(1, 0), P(0, 1)])

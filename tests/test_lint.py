@@ -112,3 +112,43 @@ def test_no_floats_outside_the_plot():
                 if literal or call:
                     found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _binds(assign, name):
+    return any(isinstance(t, ast.Name) and t.id == name for t in assign.targets)
+
+
+def _tracer_targets():
+    """The TARGETS tuple of perfbench/tracer.py, read without importing it."""
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and _binds(node, "TARGETS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no TARGETS")
+
+
+def _defines(body, path):
+    """Whether the statements ``body`` define the dotted name ``path``."""
+    head, *rest = path
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == head:
+                return not rest or isinstance(node, ast.ClassDef) and _defines(node.body, rest)
+        elif isinstance(node, ast.Assign) and not rest and _binds(node, head):
+            return True
+    return False
+
+
+def test_every_tracer_target_is_defined():
+    """perfbench traces these functions by name, and its own tests fail
+    when one of them is missing from the package."""
+    modules = _modules()
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for target in targets:
+        module, qualname = target.split(":")
+        tree = modules.get(f"{module}.py")
+        if tree is None or not _defines(tree.body, qualname.split(".")):
+            missing.append(target)
+    assert missing == []
