@@ -15,8 +15,6 @@ from .colorful import (
     Neither,
     PCase,
     PSetResult,
-    SmallTransversal,
-    Structural,
     Transversal,
     classify,
     colorful_transversal,

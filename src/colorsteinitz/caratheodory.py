@@ -77,8 +77,9 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     trace = []
     while near.sqdist != 0:
         w = sub(v, near.point)
-        outside = [i for i in range(m) if i not in near.support]
-        colour = outside[0] if outside else 0
+        # some colour is outside the support: a support of all d colours
+        # passes only on independent rays, and then v = P, sqdist 0
+        colour = next(i for i in range(m) if i not in near.support)
         enter = next(
             (e for e, a in enumerate(sets[colour]) if dot(w, a) > 0),
             None,

@@ -131,17 +131,6 @@ class Neither:
     certificate: SpanCertificate
 
 
-@dataclass(frozen=True)
-class SmallTransversal:
-    transversal: Transversal
-    certificate: SpanCertificate
-
-
-@dataclass(frozen=True)
-class Structural:
-    result: object  # BCase | PCase
-
-
 def structural_bcase(system: ColourSystem):
     d = system.dim
     first = frozenset(system.rays[0])
@@ -213,16 +202,17 @@ def _pivoted_transversal(system: ColourSystem):
 # small spanning partial transversals
 
 
-def _search_small(system: ColourSystem):
-    """The first spanning partial transversal with at most 2d-1 picks.
+def find_small_transversal(system: ColourSystem):
+    """Neither with the first spanning partial transversal of <= 2d-1 picks,
+    or None when there is none.
 
-    Scans sizes d+1..2d-1 (fewer than d+1 points never span), then colour
-    subsets and element choices in lexicographic order, so the witness has
-    the smallest possible size.  The scan is complete: by the colourful
-    Steinitz characterisation a system that is neither BCase nor PCase has
-    such a transversal, so running out of candidates is an invariant
-    violation.
+    Checks that every colour spans, then scans sizes d+1..2d-1 (fewer than
+    d+1 points never span), colour subsets and element choices in
+    lexicographic order, so the witness has the smallest possible size.  By
+    the colourful Steinitz characterisation the scan finds nothing exactly on
+    BCase and PCase.
     """
+    system.check_spanning()
     d = system.dim
     rays = system.rays
     for k in range(d + 1, 2 * d):
@@ -231,32 +221,20 @@ def _search_small(system: ColourSystem):
             for assignment in product(*ranges):
                 if spanning(tuple(rays[c][e] for c, e in zip(colours, assignment))):
                     tv = _make_transversal(zip(colours, assignment))
-                    return SmallTransversal(tv, spans_space(tv.points(system)))
-    raise RecursionInvariantViolation(
-        "no small transversal although the system is neither BCase nor PCase"
-    )
-
-
-def find_small_transversal(system: ColourSystem):
-    """Spanning partial transversal with <= 2d-1 picks, or a structural case.
-
-    Checks that every colour spans, runs the structural BCase and PCase
-    tests, and otherwise returns the first small transversal of the
-    exhaustive scan in ``_search_small``.
-    """
-    system.check_spanning()
-    b = structural_bcase(system)
-    if b is not None:
-        return Structural(b)
-    p = structural_pcase(system)
-    if p is not None:
-        return Structural(p)
-    return _search_small(system)
+                    return Neither(tv, spans_space(tv.points(system)))
+    return None
 
 
 def classify(system: ColourSystem):
-    """BCase, PCase, or Neither with a small spanning partial transversal."""
-    res = find_small_transversal(system)
-    if isinstance(res, Structural):
-        return res.result
-    return Neither(res.transversal, res.certificate)
+    """BCase, PCase, or Neither with a small spanning partial transversal.
+
+    Each structural test implies that every colour spans, so only the scan
+    runs check_spanning; a system that is not spanning fails both tests and
+    gets NotSpanning from it.
+    """
+    res = structural_bcase(system) or structural_pcase(system) or find_small_transversal(system)
+    if res is None:
+        raise RecursionInvariantViolation(
+            "no small transversal although the system is neither BCase nor PCase"
+        )
+    return res

@@ -16,15 +16,16 @@ class ZeroPoint(GeometryError):
 class NotInCone(GeometryError):
     """Target lies outside the positive hull; carries a Farkas witness."""
 
-    def __init__(self, witness, message="target not in positive hull"):
-        super().__init__(message)
+    def __init__(self, witness):
+        super().__init__("target not in positive hull")
         self.witness = witness
 
 
 class NotSpanning(GeometryError):
     """A set that was required to positively span the space does not."""
 
-    def __init__(self, witness, colour=None, message="set does not positively span the space"):
+    def __init__(self, witness, colour=None):
+        message = "set does not positively span the space"
         if colour is not None:
             message = f"{message} (colour {colour})"
         super().__init__(message)

@@ -122,12 +122,11 @@ def min_spanning_subset_size(points, budget=DEFAULT_BUDGET):
 # generators
 
 
-def _unimodular_map(d, rng, steps=None):
-    """Random integer matrix with determinant +-1, as a list of rows."""
+def _unimodular_map(d, rng):
+    """Random integer matrix with determinant +-1, as a list of rows: 3d
+    random row operations on the identity."""
     m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    if steps is None:
-        steps = 3 * d
-    for _ in range(steps):
+    for _ in range(3 * d):
         op = rng.randrange(3)
         i = rng.randrange(d)
         j = rng.randrange(d)
@@ -170,16 +169,16 @@ def generate_pcase(d: int, transform_seed=None) -> ColourSystem:
     return system
 
 
-def _random_spanning_set(d, size, rng, coord_bound=3, attempts=2000):
-    """size int points on distinct rays that span, drawn until they do,
-    returned as Fraction points."""
-    for _ in range(attempts):
+def _random_spanning_set(d, size, rng):
+    """size int points of [-3, 3]^d on distinct rays that span, drawn until
+    they do (at most 2000 draws), returned as Fraction points."""
+    for _ in range(2000):
         pts = []
         rays = set()
         tries = 0
         while len(pts) < size and tries < 200:
             tries += 1
-            p = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(d))
+            p = tuple(rng.randint(-3, 3) for _ in range(d))
             if not any(p):
                 continue
             r = integer_ray(p)
@@ -192,7 +191,7 @@ def _random_spanning_set(d, size, rng, coord_bound=3, attempts=2000):
     raise BudgetExceeded("could not sample a spanning set within the attempt budget")
 
 
-def generate_random(d: int, sizes=None, seed=0, coord_bound=3) -> ColourSystem:
+def generate_random(d: int, sizes=None, seed=0) -> ColourSystem:
     """Seeded random spanning system; rejects the two structural families."""
     if sizes is None:
         sizes = d + 2
@@ -204,7 +203,7 @@ def generate_random(d: int, sizes=None, seed=0, coord_bound=3) -> ColourSystem:
         raise ValueError("each set needs at least d+1 points to span")
     rng = random.Random(seed)
     for _ in range(100):
-        sets = tuple(_random_spanning_set(d, s, rng, coord_bound) for s in sizes)
+        sets = tuple(_random_spanning_set(d, s, rng) for s in sizes)
         system = ColourSystem(d, sets)
         if structural_bcase(system) is None and structural_pcase(system) is None:
             return system

@@ -188,16 +188,16 @@ def rank(rows) -> int:
     return len(_echelon(rows, False)[1])
 
 
-def null_space(rows, ncols=None):
+def null_space(rows):
     """Basis of {x : Rx = 0}, rows acting on the left.
 
     Each basis vector is primitive integer with first nonzero coordinate
-    positive, so the output is deterministic.
+    positive, so the output is deterministic.  Raises ValueError on an
+    empty matrix, whose width is unknown.
     """
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols required for an empty matrix")
+    if not rows:
+        raise ValueError("null space of an empty matrix")
+    ncols = len(rows[0])
     m, pivots, den = _echelon(rows, True)
     pivot_set = set(pivots)
     basis = []

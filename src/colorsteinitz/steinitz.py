@@ -61,7 +61,7 @@ def _hull_normals(lines, d, plan):
         normal = tuple((-1) ** j * minors[d - 1 - j] for j in range(d))
         if any(normal):
             return (normal,)
-    return tuple(tuple(int(x) for x in b) for b in null_space(lines, ncols=d))
+    return tuple(tuple(int(x) for x in b) for b in null_space(lines))
 
 
 def generic_direction(points):

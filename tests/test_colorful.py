@@ -14,8 +14,6 @@ from colorsteinitz.colorful import (
     ColourSystem,
     Neither,
     PCase,
-    SmallTransversal,
-    Structural,
     Transversal,
     classify,
     colorful_transversal,
@@ -25,6 +23,8 @@ from colorsteinitz.colorful import (
 from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning, spans_space
 from colorsteinitz.errors import NotSpanning, ZeroPoint
 from colorsteinitz.oracle import (
+    _transform_system,
+    _unimodular_map,
     enumerate_report,
     generate_bcase,
     generate_pcase,
@@ -228,38 +228,65 @@ def _one_ray_edits_d3(count=40, seed=11):
     return random.Random(seed).sample(edits, count)
 
 
+def _boundary_d3():
+    return [generate_bcase(3), generate_pcase(3)] + _one_ray_edits_d3()
+
+
 class TestBoundaryAtD3:
     """The characterisation next to the structural families: a system needs
     all 2d = 6 colours iff it is BCase or PCase.  All 594 edits are Neither,
     252 of them at the tightest size 2d - 1 = 5."""
 
-    def test_one_ray_edits_and_their_bases(self):
+    def _minimum_sizes(self, systems):
+        """Checks the iff, the scan and each witness; returns the oracle's
+        minimum sizes."""
         sizes = []
-        for sys_ in [generate_bcase(3), generate_pcase(3)] + _one_ray_edits_d3():
+        for sys_ in systems:
             res = classify(sys_)
+            scan = find_small_transversal(sys_)
             size = min_spanning_partial_size(sys_)
             sizes.append(size)
-            assert isinstance(res, (BCase, PCase)) == (size == 6), sys_
+            assert isinstance(res, (BCase, PCase)) == (size == 6) == (scan is None), sys_
             if isinstance(res, Neither):
+                assert scan == res
                 tv = res.witness
                 assert tv.size() <= 5
                 text = certio.render_transversal(tv.picks, res.certificate, tv.points(sys_))
                 assert check_text(text) == ["transversal"]
+        return sizes
+
+    def test_one_ray_edits_and_their_bases(self):
+        sizes = self._minimum_sizes(_boundary_d3())
         assert sizes[:2] == [6, 6] and 5 in sizes[2:]
+
+    def test_unimodular_images(self):
+        # an integer map of determinant +-1 keeps every ray set's spanning,
+        # so each image has its system's minimum size
+        systems = _boundary_d3()
+        images = [
+            _transform_system(s, _unimodular_map(3, random.Random(1 + i % 3)))
+            for i, s in enumerate(systems)
+        ]
+        assert all(a.rays != b.rays for a, b in zip(systems, images))
+        assert self._minimum_sizes(images) == [min_spanning_partial_size(s) for s in systems]
 
 
 class TestFindSmallTransversal:
     def test_structural_cases(self):
-        assert isinstance(find_small_transversal(bcase2()), Structural)
-        assert isinstance(find_small_transversal(pcase2()), Structural)
+        # the paper's "exactly 2d" side, on the scan itself
+        for kind in (generate_bcase, generate_pcase):
+            for d in (2, 3):
+                for transform_seed in (None, 1, 2, 3):
+                    system = kind(d, transform_seed=transform_seed)
+                    assert find_small_transversal(system) is None, system
 
     def test_spec_neither_example(self):
         base = (P(1, 0), P(0, 1), P(-1, -1), P(-1, 1))
         sys_ = ColourSystem(2, (base,) * 4)
         res = find_small_transversal(sys_)
-        assert isinstance(res, SmallTransversal)
-        assert res.transversal.size() <= 3
-        assert res.certificate.verify(res.transversal.points(sys_))
+        assert isinstance(res, Neither)
+        assert res.witness.size() <= 3
+        assert res.certificate.verify(res.witness.points(sys_))
         assert min_spanning_partial_size(sys_) <= 3
 
     def test_d3_case_two_path(self):
@@ -267,9 +294,9 @@ class TestFindSmallTransversal:
         base = units(3) + (P(1, 1, 1),)
         sys_ = ColourSystem(3, (base,) * 6)
         res = find_small_transversal(sys_)
-        assert isinstance(res, SmallTransversal)
-        assert res.transversal.size() <= 5
-        pts = res.transversal.points(sys_)
+        assert isinstance(res, Neither)
+        assert res.witness.size() <= 5
+        pts = res.witness.points(sys_)
         assert spanning(pts)
 
     def test_d3_case_one_path(self):
@@ -280,9 +307,9 @@ class TestFindSmallTransversal:
         sets = (f, f, f, f, f, nf)
         sys_ = ColourSystem(3, sets)
         res = find_small_transversal(sys_)
-        assert isinstance(res, SmallTransversal)
-        assert res.transversal.size() <= 5
-        assert spanning(res.transversal.points(sys_))
+        assert isinstance(res, Neither)
+        assert res.witness.size() <= 5
+        assert spanning(res.witness.points(sys_))
 
     def test_case_one_partition_invariant(self):
         # when no X_i meets -X_i and the system is structural, P(v) and P(-v)
@@ -301,8 +328,8 @@ class TestFindSmallTransversal:
         for seed in (1, 4, 9):
             sys_ = generate_random(3, sizes=4, seed=seed)
             res = find_small_transversal(sys_)
-            assert isinstance(res, SmallTransversal)
-            assert min_spanning_partial_size(sys_) <= res.transversal.size() <= 5
+            assert isinstance(res, Neither)
+            assert min_spanning_partial_size(sys_) <= res.witness.size() <= 5
 
 
 def _first_spanning_partial(system):
@@ -354,11 +381,11 @@ class TestWitnessMinimality:
     def test_witness_is_the_first_smallest(self, build):
         sys_ = build()
         res = find_small_transversal(sys_)
-        assert isinstance(res, SmallTransversal)
-        assert res.transversal.size() == min_spanning_partial_size(sys_)
-        assert res.transversal.picks == _first_spanning_partial(sys_)
-        assert res.certificate.verify(res.transversal.points(sys_))
-        assert classify(sys_) == Neither(res.transversal, res.certificate)
+        assert isinstance(res, Neither)
+        assert res.witness.size() == min_spanning_partial_size(sys_)
+        assert res.witness.picks == _first_spanning_partial(sys_)
+        assert res.certificate.verify(res.witness.points(sys_))
+        assert classify(sys_) == res
 
 
 def _rescaled(system, rng):

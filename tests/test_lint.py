@@ -1,11 +1,14 @@
 """Static checks on the package source, stdlib only: every import is used,
 every private module-level function or class is referenced somewhere in
-the package, and the decision paths stay free of floats."""
+the package, every defaulted parameter is passed somewhere, and the decision
+paths stay free of floats."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "colorsteinitz"
+# where the package's functions are called from
+CALLERS = (PACKAGE, PACKAGE.parent.parent / "tests", PACKAGE.parent.parent / "perfbench")
 
 
 def _modules():
@@ -65,6 +68,56 @@ def test_no_unreferenced_private_definitions():
             if node.name not in _loaded_names(elsewhere):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert dead == []
+
+
+def _defaulted(name, args, skip):
+    """(name, position, parameter) for each parameter of ``args`` that has a
+    default; keyword-only ones have no position.  The first ``skip``
+    parameters (``self``) are not counted in the position."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield name, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield name, None, arg.arg
+
+
+def _passed_arguments():
+    """(callee's bare name, position or keyword) for every argument of every
+    call in CALLERS; a ``*args`` or ``**kwargs`` is recorded as "*"."""
+    passed = set()
+    for directory in CALLERS:
+        for path in sorted(directory.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                passed.update((name, i) for i in range(len(node.args)))
+                passed.update((name, k.arg or "*") for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed.add((name, "*"))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """An option that no caller sets decides nothing: make it a constant.
+    Covers module-level functions and ``__init__`` (called by class name)."""
+    passed = _passed_arguments()
+    unset = []
+    for module, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = _defaulted(node.name, node.args, 0)
+            elif isinstance(node, ast.ClassDef):
+                inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                params = [p for f in inits for p in _defaulted(node.name, f.args, 1)]
+            else:
+                continue
+            for name, position, param in params:
+                if not passed & {(name, position), (name, param), (name, "*")}:
+                    unset.append(f"{module} {name}({param}=)")
+    assert unset == []
 
 
 # The integer kernels, by module: in int code a "/" is a float.

@@ -65,6 +65,12 @@ class TestMinSize:
         assert min_spanning_subset_size(list(units(2)) + [P(1, 1)]) == 3
         assert min_spanning_subset_size([P(1, 0), P(0, 1)]) is None
 
+    def test_min_spanning_subset_size_budget_enforced(self):
+        # the 4 three-point subsets of +-e1, +-e2 fail before the 4-point one
+        with pytest.raises(BudgetExceeded):
+            min_spanning_subset_size(units(2), budget=3)
+        assert min_spanning_subset_size(units(2), budget=5) == 4
+
     def test_min_spanning_subset_size_rejects_empty_input(self):
         with pytest.raises(ValueError):
             min_spanning_subset_size([])

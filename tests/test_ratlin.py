@@ -306,6 +306,10 @@ class TestSolveAndNullSpace:
         basis = null_space([P(1, 1)])
         assert basis == [P(1, -1)]
 
+    def test_null_space_of_empty_matrix(self):
+        with pytest.raises(ValueError):
+            null_space([])
+
 
 class TestFractionFreeEchelon:
     """rref, null_space and solve_columns against the Fraction loop they replaced."""
