@@ -204,10 +204,15 @@ def spans_space(generators):
 
 
 def spanning(generators) -> bool:
-    """Decide pos(generators) = R^d with one rank test and at most one LP.
+    """Decide pos(generators) = R^d, by a sign test, one null vector, or
+    one rank test and at most one LP.
 
     pos T = R^d iff rank T = d and T has a strictly positive linear
-    dependence (Gordan; Davis 1954).  The LP asks whether -sum(T) lies in
+    dependence (Gordan; Davis 1954).  So T cannot span if some coordinate
+    has one weak sign on all of T (T lies in a closed coordinate halfspace),
+    or if |T| <= d.  When |T| = d + 1 the dependence, if rank T = d, is the
+    one null vector of the d x (d+1) matrix T, and T spans iff that vector
+    is strictly positive.  Otherwise the LP asks whether -sum(T) lies in
     pos T: if -sum(T) = sum mu_j t_j with mu >= 0, then lambda = mu + 1 is a
     strictly positive dependence; conversely, if T spans, every target, this
     one included, lies in pos T.  When sum(T) = 0 the dependence is all ones
@@ -220,10 +225,18 @@ def spanning(generators) -> bool:
             raise ValueError("generator list must be nonempty")
         points = sorted(key)
         d = len(points[0])
-        hit = rank(points) == d  # rank() raises DimensionMismatch on mixed dimensions
-        if hit:
-            total = tuple(sum(c) for c in zip(*points))  # stays int on integer rays
-            hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
+        _check_dims(points, d)  # before zip(), which would truncate ragged points
+        columns = list(zip(*points))
+        if any(min(c) >= 0 or max(c) <= 0 for c in columns) or len(points) <= d:
+            hit = False
+        elif len(points) == d + 1 and d:  # null_space() needs a row; {()} spans R^0
+            normals = null_space(columns)
+            hit = len(normals) == 1 and min(normals[0]) > 0
+        else:
+            hit = rank(points) == d
+            if hit:
+                total = tuple(map(sum, columns))  # stays int on integer rays
+                hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
         _remember(_SPAN_BOOL, key, hit)
     return hit
 

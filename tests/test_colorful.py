@@ -237,15 +237,18 @@ class TestBoundaryAtD3:
     all 2d = 6 colours iff it is BCase or PCase.  All 594 edits are Neither,
     252 of them at the tightest size 2d - 1 = 5."""
 
-    def _minimum_sizes(self, systems):
-        """Checks the iff, the scan and each witness; returns the oracle's
+    @pytest.fixture(scope="class")
+    def boundary(self):
+        """The systems and their oracle minimum sizes, measured once for both tests."""
+        systems = _boundary_d3()
+        return systems, [min_spanning_partial_size(s) for s in systems]
+
+    def _check_sizes(self, systems, sizes):
+        """Checks the iff, the scan and each witness against the oracle's
         minimum sizes."""
-        sizes = []
-        for sys_ in systems:
+        for sys_, size in zip(systems, sizes, strict=True):
             res = classify(sys_)
             scan = find_small_transversal(sys_)
-            size = min_spanning_partial_size(sys_)
-            sizes.append(size)
             assert isinstance(res, (BCase, PCase)) == (size == 6) == (scan is None), sys_
             if isinstance(res, Neither):
                 assert scan == res
@@ -253,22 +256,24 @@ class TestBoundaryAtD3:
                 assert tv.size() <= 5
                 text = certio.render_transversal(tv.picks, res.certificate, tv.points(sys_))
                 assert check_text(text) == ["transversal"]
-        return sizes
 
-    def test_one_ray_edits_and_their_bases(self):
-        sizes = self._minimum_sizes(_boundary_d3())
+    def test_one_ray_edits_and_their_bases(self, boundary):
+        systems, sizes = boundary
+        self._check_sizes(systems, sizes)
         assert sizes[:2] == [6, 6] and 5 in sizes[2:]
 
-    def test_unimodular_images(self):
+    def test_unimodular_images(self, boundary):
         # an integer map of determinant +-1 keeps every ray set's spanning,
         # so each image has its system's minimum size
-        systems = _boundary_d3()
+        systems, sizes = boundary
         images = [
             _transform_system(s, _unimodular_map(3, random.Random(1 + i % 3)))
             for i, s in enumerate(systems)
         ]
         assert all(a.rays != b.rays for a, b in zip(systems, images))
-        assert self._minimum_sizes(images) == [min_spanning_partial_size(s) for s in systems]
+        image_sizes = [min_spanning_partial_size(s) for s in images]
+        self._check_sizes(images, image_sizes)
+        assert image_sizes == sizes
 
 
 class TestFindSmallTransversal:

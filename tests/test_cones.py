@@ -35,9 +35,12 @@ from colorsteinitz.errors import (
 from colorsteinitz.instancefile import InstanceFile, emit_instance
 from colorsteinitz.oracle import enumerate_report, generate_random
 from colorsteinitz.ratlin import (
+    Feasible,
     add,
     dot,
     integer_ray,
+    is_zero,
+    lp_feasibility,
     neg,
     null_space,
     rank,
@@ -217,6 +220,38 @@ def _decision_inputs():
     return cases
 
 
+def reference_spanning(points):
+    """The rank-and-LP decision alone: rank T = d, and -sum(T) in pos T
+    unless sum(T) = 0."""
+    points = sorted(set(map(tuple, points)))
+    d = len(points[0])
+    if rank(points) != d:
+        return False
+    total = tuple(sum(c) for c in zip(*points))
+    return is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
+
+
+def _sign_reject(points):
+    """True iff some coordinate is >= 0 on every point or <= 0 on every point."""
+    return any(min(c) >= 0 or max(c) <= 0 for c in zip(*points))
+
+
+def _small_set_inputs():
+    """Seeded sets of n in {1, d, d+1, d+2, 2d} points of [-3, 3]^d for
+    d = 1..5, so with zero points and repeats; about 30% are rescaled to
+    Fractions."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(140):
+        for d in range(1, 6):
+            for n in sorted({1, d, d + 1, d + 2, 2 * d}):
+                pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+                if rng.random() < 0.3:
+                    pts = [tuple(Fraction(x, rng.randint(1, 4)) for x in p) for p in pts]
+                cases.append(tuple(pts))
+    return cases
+
+
 class TestSpanningDecision:
     def test_agrees_with_spans_space(self):
         clear_span_cache()
@@ -257,6 +292,68 @@ class TestSpanningDecision:
         monkeypatch.setattr(cones, "lp_feasibility", no_lp)
         assert spanning(units(3))
         assert spanning(simplex(2) + simplex(2))
+
+    def test_agrees_with_the_rank_and_lp_reference(self):
+        cases = _small_set_inputs() + [((),)]  # {()} spans R^0
+        assert len(cases) >= 3000
+        decisions = []
+        for pts in cases:
+            clear_span_cache()
+            decided = spanning(pts)
+            assert decided == reference_spanning(pts), pts
+            decisions.append(decided)
+        assert 100 <= sum(decisions) <= len(decisions) - 100
+
+    def test_simplices_and_small_sets_need_no_lp(self, monkeypatch):
+        rng = random.Random(13)
+        small = [
+            (P(1, -1, 0), P(0, 1, -1), P(-1, 0, 1), P(1, 1, -2)),  # rank 2 in R^3
+            (P(2, 1), P(-1, 1), P(1, -1)),  # dependence (0, 1, 1)
+            (P(1, -1), P(-1, 2)),  # d points of rank d
+        ]
+        while len(small) < 60:
+            d = rng.randint(2, 5)
+            pts = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 1))
+            if len(set(pts)) == d + 1 and not _sign_reject(pts) and not reference_spanning(pts):
+                small.append(pts)
+        assert any(rank(p) < len(p[0]) for p in small)
+        assert any(rank(p) == len(p[0]) for p in small)
+        clear_span_cache()
+
+        def no_lp(*args):
+            raise AssertionError("lp_feasibility called")
+
+        monkeypatch.setattr(cones, "lp_feasibility", no_lp)
+        for d in range(2, 6):
+            assert spanning(simplex(d))
+        for pts in small:
+            assert not spanning(pts), pts
+
+    def test_halfspace_sets_need_no_elimination(self, monkeypatch):
+        rng = random.Random(14)
+        sets = []
+        for d in range(1, 6):
+            for n in (d + 1, d + 2, 2 * d, 2 * d + 2):
+                pts = [list(_random_point(rng, d, n % 2 == 0)) for _ in range(n)]
+                axis, sign = rng.randrange(d), rng.choice((1, -1))
+                for p in pts:
+                    p[axis] = sign * abs(p[axis])
+                sets.append(tuple(map(tuple, pts)))
+        clear_span_cache()
+
+        def no_elimination(*args):
+            raise AssertionError("elimination called")
+
+        for name in ("lp_feasibility", "rank", "null_space"):
+            monkeypatch.setattr(cones, name, no_elimination)
+        for pts in sets:
+            assert not spanning(pts), pts
+
+    def test_sign_reject_never_fires_on_a_spanning_set(self):
+        spanning_sets = [p for p in _decision_inputs() if reference_spanning(p)]
+        assert len(spanning_sets) >= 50
+        for pts in spanning_sets:
+            assert not _sign_reject(pts), pts
 
     def test_empty_raises_value_error(self):
         with pytest.raises(ValueError):

@@ -131,7 +131,7 @@ INT_KERNELS = {
         "solve_columns",
         "lp_feasibility",
     ),
-    "cones.py": ("nearest_cone_point",),
+    "cones.py": ("nearest_cone_point", "spanning"),
 }
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}
