@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ConicCertificate, FarkasWitness, nearest_cone_point, pos_membership
+from .cones import (
+    ConicCertificate,
+    FarkasWitness,
+    integer_rays,
+    nearest_cone_point,
+    pos_membership,
+    spanning,
+)
 from .errors import NotInCone, PreconditionFailed, RecursionInvariantViolation, ZeroPoint
 from .ratlin import dot, is_zero, sub
 
@@ -50,7 +57,10 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     """Transversal T (one point per set) with v in pos T.
 
     Requires len(sets) == d and v in pos A_i for every set A_i (checked;
-    PreconditionFailed carries the failing colour and witness).  Pivot rule:
+    PreconditionFailed carries the failing colour and witness).  A set that
+    positively spans R^d holds every v, so only the others need the LP; its
+    answer is decided on the set's integer rays, as check_spanning() does,
+    so a colour set of a checked system is a memo hit.  Pivot rule:
     start from the lexicographically first transversal; while the exact
     squared distance from v to pos T is positive, swap the lowest-index
     colour absent from the nearest point's support for its set's lowest-index
@@ -63,6 +73,8 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     if m != d:
         raise ValueError(f"expected {d} colour sets, got {m}")
     for i, a_set in enumerate(sets):
+        if spanning(integer_rays(tuple(map(tuple, a_set)))):
+            continue
         res = pos_membership(v, list(a_set))
         if isinstance(res, FarkasWitness):
             raise PreconditionFailed(i, res)

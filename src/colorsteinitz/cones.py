@@ -203,35 +203,83 @@ def spans_space(generators):
     return _remember(_SPAN_CACHE, generators, result)
 
 
+def _gale_half_plane(columns, n) -> bool:
+    """Decide pos T = R^d for n points, d < n <= d + 2, given as the d x n
+    matrix ``columns``, by one fraction-free ``_echelon`` on ints.
+
+    T spans iff rank T = d and a strictly positive vector lies in the null
+    space of the matrix (Davis 1954).  With rank d, the reduced form m,
+    whose pivot entries are den, gives a null basis of k = n - d <= 2
+    vectors, one per free column f: den at f, -m[r][f] at the r-th pivot
+    column and 0 at the other free columns.  Row i of this n x k basis is
+    the Gale vector g_i of t_i (Gruenbaum, Convex Polytopes, 5.4), so a
+    dependence N lam > 0 exists iff every g_i lies in the open half-plane
+    {g : <lam, g> > 0}.  For k = 1 the rows are padded to (g_i, 0).
+
+    Finitely many plane vectors lie in an open half-plane iff some g_j has
+    every g_i strictly counterclockwise of it within pi, cross(g_j, g_i) > 0,
+    or on its ray, cross = 0 and dot(g_j, g_i) > 0.  If they lie in one,
+    take g_j first in angular order from the half-plane's boundary.
+    Conversely, the g_i then lie in an angle below pi starting at g_j, and
+    the half-plane centred on its bisector holds them all.  A zero g_i fails
+    the test, as cross and dot with it are 0; rightly, since every
+    dependence then vanishes at t_i.  For k = 1 the test reads: all g_i are
+    nonzero and of one sign.  Cross and dot are bilinear, so scaling every
+    g_i by den multiplies both by den^2 > 0: the sign of den does not matter.
+    """
+    m, pivots, den = _echelon(columns, True)
+    if len(pivots) < len(columns):
+        return False
+    free = [f for f in range(n) if f not in pivots]
+    gale = [[den if i == f else 0 for f in free] for i in range(n)]
+    for row, p in zip(m, pivots):
+        gale[p] = [-row[f] for f in free]
+    if len(free) == 1:
+        gale = [(g[0], 0) for g in gale]
+    return any(
+        all(
+            (cross := x * v - y * u) > 0 or (cross == 0 and x * u + y * v > 0)
+            for u, v in gale
+        )
+        for x, y in gale
+    )
+
+
 def spanning(generators) -> bool:
-    """Decide pos(generators) = R^d, by a sign test, one null vector, or
-    one rank test and at most one LP.
+    """Decide pos(generators) = R^d, by a sign test, the Gale vectors of at
+    most d + 2 points, or one rank test and at most one LP.
 
     pos T = R^d iff rank T = d and T has a strictly positive linear
     dependence (Gordan; Davis 1954).  So T cannot span if some coordinate
     has one weak sign on all of T (T lies in a closed coordinate halfspace),
-    or if |T| <= d.  When |T| = d + 1 the dependence, if rank T = d, is the
-    one null vector of the d x (d+1) matrix T, and T spans iff that vector
-    is strictly positive.  Otherwise the LP asks whether -sum(T) lies in
-    pos T: if -sum(T) = sum mu_j t_j with mu >= 0, then lambda = mu + 1 is a
-    strictly positive dependence; conversely, if T spans, every target, this
-    one included, lies in pos T.  When sum(T) = 0 the dependence is all ones
-    and no LP is needed.  Use spans_space() for a certificate either way.
+    or if |T| <= d.  When d < |T| <= d + 2 the dependences form a space of
+    dimension |T| - d <= 2 if rank T = d, and _gale_half_plane() decides on
+    ints whether it holds a strictly positive vector.  Otherwise the LP asks
+    whether -sum(T) lies in pos T: if -sum(T) = sum mu_j t_j with mu >= 0,
+    then lambda = mu + 1 is a strictly positive dependence; conversely, if T
+    spans, every target, this one included, lies in pos T.  When sum(T) = 0
+    the dependence is all ones and no LP is needed.  A miss on points with
+    Fraction coordinates is decided on their integer_ray()s, which span
+    alike.  Use spans_space() for a certificate either way.
     """
     key = frozenset(map(tuple, generators))
     hit = _SPAN_BOOL.get(key)
     if hit is None:
         if not key:
             raise ValueError("generator list must be nonempty")
-        points = sorted(key)
+        first = next(iter(key))
+        if first and type(first[0]) is not int:  # Fractions sort and compare slowly
+            points = sorted(set(map(integer_ray, key)))  # rays span alike
+        else:
+            points = sorted(key)
+        n = len(points)
         d = len(points[0])
         _check_dims(points, d)  # before zip(), which would truncate ragged points
         columns = list(zip(*points))
-        if any(min(c) >= 0 or max(c) <= 0 for c in columns) or len(points) <= d:
+        if any(min(c) >= 0 or max(c) <= 0 for c in columns) or n <= d:
             hit = False
-        elif len(points) == d + 1 and d:  # null_space() needs a row; {()} spans R^0
-            normals = null_space(columns)
-            hit = len(normals) == 1 and min(normals[0]) > 0
+        elif n <= d + 2:
+            hit = _gale_half_plane(columns, n)
         else:
             hit = rank(points) == d
             if hit:

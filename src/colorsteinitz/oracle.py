@@ -41,9 +41,9 @@ class _Budget:
             raise BudgetExceeded(f"enumeration budget of {self.limit} checks exceeded")
 
 
-# cones.spanning decides by a coordinate-sign test, one null vector (on d+1
-# points) or one rank test and at most one LP, and memoises on the generator
-# set process-wide; the scans here ask it about a system's integer rays, so
+# cones.spanning decides by a coordinate-sign test, the Gale vectors of at
+# most d+2 points, or one rank test and at most one LP, and memoises on the
+# generator set process-wide; the scans here ask it about a system's integer rays, so
 # permuted transversals, rescaled points and repeated systems share work
 _spanning = spanning
 

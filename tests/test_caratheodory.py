@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from colorsteinitz import caratheodory
 from colorsteinitz.caratheodory import (
     colorful_cone_caratheodory,
     cone_caratheodory,
 )
+from colorsteinitz.cones import pos_membership
 from colorsteinitz.errors import NotInCone, PreconditionFailed, ZeroPoint
 from colorsteinitz.ratlin import Feasible, lp_feasibility, rank
 
-from conftest import pt as P, units
+from conftest import pt as P, simplex, units
 
 
 class TestConeCaratheodory:
@@ -84,6 +86,23 @@ class TestColorfulConeCaratheodory:
             colorful_cone_caratheodory(P(1, 1), sets)
         assert exc.value.colour == 1
         assert exc.value.witness.verify(sets[1], P(1, 1))
+
+    def test_spanning_sets_need_no_precondition_lp(self, monkeypatch):
+        calls = []
+
+        def counting(v, generators):
+            calls.append(len(generators))
+            return pos_membership(v, generators)
+
+        monkeypatch.setattr(caratheodory, "pos_membership", counting)
+        sets = [simplex(2), [P(2, 0), P(0, 3), P(-1, -1), P(1, 1)]]
+        res = colorful_cone_caratheodory(P(1, -3), sets)
+        assert calls == [2]  # only the certificate of the final transversal
+        assert res.certificate.verify([sets[c][e] for c, e in res.picks])
+        calls.clear()
+        with pytest.raises(PreconditionFailed) as exc:
+            colorful_cone_caratheodory(P(1, 1), [simplex(2), [P(-1, 0), P(0, -1)]])
+        assert calls == [2] and exc.value.colour == 1
 
     def test_wrong_number_of_sets(self):
         with pytest.raises(ValueError):

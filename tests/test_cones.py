@@ -6,7 +6,7 @@ import inspect
 import pkgutil
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -252,6 +252,42 @@ def _small_set_inputs():
     return cases
 
 
+def _unit_cube_sets():
+    """Sets of d + 1 and d + 2 points of {-1, 0, 1}^d: all of them for
+    d = 1, 2, seeded samples (with repeats) for d = 3..5; about a third of
+    the sets get each point rescaled by a positive Fraction."""
+    rng = random.Random(22)
+    cases = []
+    for d in range(1, 6):
+        cube = list(product((-1, 0, 1), repeat=d))
+        for n in (d + 1, d + 2):
+            if d <= 2:
+                sets = list(combinations(cube, n))
+            else:
+                sets = [rng.choices(cube, k=n) for _ in range(300)]
+            for pts in sets:
+                if rng.random() < 0.3:
+                    pts = [scale(Fraction(rng.randint(1, 3), rng.randint(1, 3)), p) for p in pts]
+                cases.append(tuple(pts))
+    return cases
+
+
+def _gale_shapes(points):
+    """Which of a zero, two parallel and two antipodal Gale vectors (rows
+    of the null_space basis) d + 2 distinct points of rank d have; the
+    empty set for other points."""
+    points = sorted(set(points))
+    d = len(points[0])
+    if len(points) != d + 2 or rank(points) != d:
+        return set()
+    gale = list(zip(*null_space(list(zip(*points)))))
+    shapes = {"zero" for g in gale if not any(g)}
+    for (a, b), (u, v) in combinations(gale, 2):
+        if any((a, b)) and any((u, v)) and a * v == b * u:
+            shapes.add("parallel" if a * u + b * v > 0 else "antipodal")
+    return shapes
+
+
 class TestSpanningDecision:
     def test_agrees_with_spans_space(self):
         clear_span_cache()
@@ -344,10 +380,65 @@ class TestSpanningDecision:
         def no_elimination(*args):
             raise AssertionError("elimination called")
 
-        for name in ("lp_feasibility", "rank", "null_space"):
+        for name in ("lp_feasibility", "rank", "null_space", "_echelon"):
             monkeypatch.setattr(cones, name, no_elimination)
         for pts in sets:
             assert not spanning(pts), pts
+
+    def test_d_plus_two_sets_need_no_lp(self, monkeypatch):
+        rng = random.Random(15)
+        wanted = {
+            (d, spans, full, fractional)
+            for d in range(1, 6)
+            for spans, full in ((True, True), (False, True), (False, False))
+            for fractional in (False, True)
+            # on a line, rays of both signs span; a rank-1 set of the plane has 2 rays
+            if (d > 1 or spans) and (d > 2 or full)
+        }
+        cases = []
+        for _ in range(20000):
+            if not wanted:
+                break
+            d = rng.randint(1, 5)
+            pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 2)]
+            kind = rng.randrange(3)
+            if kind == 1:  # a positive basis and one more point
+                pts = [tuple(map(int, p)) for p in simplex(d)] + pts[:1]
+            elif kind == 2:  # on the hyperplane sum(x) = 0, so rank < d
+                pts = [p[:-1] + (-sum(p[:-1]),) for p in pts]
+            fractional = rng.random() < 0.5
+            if fractional:
+                pts = [scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)), p) for p in pts]
+            if len(set(map(integer_ray, pts))) < d + 2 or _sign_reject(pts):
+                continue
+            key = (d, reference_spanning(pts), rank(pts) == d, fractional)
+            if key in wanted:
+                wanted.discard(key)
+                cases.append((pts, key[1]))
+        assert not wanted
+        clear_span_cache()
+
+        def no_elimination(*args):
+            raise AssertionError("rank, null_space or lp_feasibility called")
+
+        for name in ("lp_feasibility", "rank", "null_space"):
+            monkeypatch.setattr(cones, name, no_elimination)
+        for pts, spans in cases:
+            assert spanning(pts) == spans, pts
+
+    def test_agrees_with_the_reference_on_unit_cube_sets(self):
+        cases = _unit_cube_sets()
+        assert len(cases) >= 2000
+        shapes = set()
+        decisions = []
+        for pts in cases:
+            shapes |= _gale_shapes(pts)
+            clear_span_cache()
+            decided = spanning(pts)
+            assert decided == reference_spanning(pts), pts
+            decisions.append(decided)
+        assert shapes == {"zero", "parallel", "antipodal"}
+        assert 100 <= sum(decisions) <= len(decisions) - 100
 
     def test_sign_reject_never_fires_on_a_spanning_set(self):
         spanning_sets = [p for p in _decision_inputs() if reference_spanning(p)]

@@ -131,7 +131,7 @@ INT_KERNELS = {
         "solve_columns",
         "lp_feasibility",
     ),
-    "cones.py": ("nearest_cone_point", "spanning"),
+    "cones.py": ("nearest_cone_point", "spanning", "_gale_half_plane"),
 }
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}
