@@ -14,13 +14,12 @@ from fractions import Fraction
 from .cones import (
     ConicCertificate,
     FarkasWitness,
-    integer_rays,
+    _check_dims,
     nearest_cone_point,
     pos_membership,
-    spanning,
 )
 from .errors import NotInCone, PreconditionFailed, RecursionInvariantViolation, ZeroPoint
-from .ratlin import dot, is_zero, sub
+from .ratlin import dot, is_zero, primitive_ray, solve_columns, sub
 
 
 def cone_caratheodory(v, points):
@@ -56,15 +55,18 @@ class ColorfulResult:
 def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     """Transversal T (one point per set) with v in pos T.
 
-    Requires len(sets) == d and v in pos A_i for every set A_i (checked;
-    PreconditionFailed carries the failing colour and witness).  A set that
-    positively spans R^d holds every v, so only the others need the LP; its
-    answer is decided on the set's integer rays, as check_spanning() does,
-    so a colour set of a checked system is a memo hit.  Pivot rule:
-    start from the lexicographically first transversal; while the exact
-    squared distance from v to pos T is positive, swap the lowest-index
-    colour absent from the nearest point's support for its set's lowest-index
-    point on the far side of the separating hyperplane.
+    Requires len(sets) == d and nonempty sets of d-dimensional points.
+    Pivot rule (Barany 1982): start from the lexicographically first
+    transversal; while the exact squared distance from v to pos T is
+    positive, swap the lowest-index colour absent from the support of the
+    nearest point P for its set's lowest-index point a with <w, a> > 0,
+    w = v - P.  Each swap decreases the distance, so the pivot ends.
+
+    It returns whenever it reaches v; the certificate solves v on the final
+    support, which is independent with positive weights.  It raises
+    PreconditionFailed only if the colour to swap has no such point: then
+    w is a FarkasWitness for that set, as <w, v> = |w|^2 > 0 (<w, P> = 0).
+    That set misses v, but its colour need not be the lowest such one.
     """
     if is_zero(v):
         raise ZeroPoint("target must be nonzero")
@@ -73,11 +75,9 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
     if m != d:
         raise ValueError(f"expected {d} colour sets, got {m}")
     for i, a_set in enumerate(sets):
-        if spanning(integer_rays(tuple(map(tuple, a_set)))):
-            continue
-        res = pos_membership(v, list(a_set))
-        if isinstance(res, FarkasWitness):
-            raise PreconditionFailed(i, res)
+        if not a_set:
+            raise ValueError(f"colour set {i} is empty")
+        _check_dims(a_set, d)
 
     cur = [0] * m
 
@@ -96,8 +96,8 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
             (e for e, a in enumerate(sets[colour]) if dot(w, a) > 0),
             None,
         )
-        if enter is None:  # pragma: no cover - impossible when v in pos A_colour
-            raise RecursionInvariantViolation("no entering point on the far side")
+        if enter is None:
+            raise PreconditionFailed(colour, FarkasWitness(primitive_ray(w), tuple(v)))
         cur[colour] = enter
         new_near = nearest_cone_point(v, pts())
         if not new_near.sqdist < near.sqdist:  # pragma: no cover
@@ -105,8 +105,7 @@ def colorful_cone_caratheodory(v, sets) -> ColorfulResult:
         near = new_near
         trace.append(PivotStep(colour, enter, near.sqdist))
 
-    cert = pos_membership(v, pts())
-    if not isinstance(cert, ConicCertificate):  # pragma: no cover
-        raise RecursionInvariantViolation("zero distance but membership LP failed")
+    coeffs = solve_columns([sets[i][cur[i]] for i in near.support], v)
+    cert = ConicCertificate(near.support, tuple(coeffs), tuple(v))
     picks = tuple((i, cur[i]) for i in range(m))
     return ColorfulResult(picks, cert, initial, tuple(trace))

@@ -219,8 +219,6 @@ def cmd_plot(args):
     system = _system(_load(args.instance))
     if system.dim != 2:
         raise ParseError("plot supports dimension 2 only")
-    if args.format != "svg":
-        raise ParseError("plot supports --format svg only")
     tv, _ = colorful_transversal(system)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_render_svg(system, tv))
@@ -279,7 +277,6 @@ def build_parser():
     p = add("plot", cmd_plot, help="SVG of the rays and a found transversal (d=2)")
     p.add_argument("instance")
     p.add_argument("out")
-    p.add_argument("--format", choices=["svg"], default="svg")
     return parser
 
 

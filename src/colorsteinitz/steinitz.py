@@ -161,7 +161,7 @@ def basis_case(points):
     for r in rays:
         if neg(r) not in reps:
             reps.append(r)
-    if len(reps) != d or rank(reps) != d:
+    if rank(reps) != d:
         return None
     return tuple(tuple(map(Fraction, r)) for r in reps)
 

@@ -5,6 +5,7 @@ exercise it as a subprocess to confirm independence from the package import.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,65 @@ class TestTamperDetection:
         ):
             with pytest.raises(CheckFailure):
                 check_text(bad)
+
+
+SPAN_1D = "CERT span\nDIM 1\nGEN 0 1\nGEN 1 -1\nDIR 1\nCOEFF 0 1\nDIR -1\nCOEFF 1 1\nEND\n"
+
+
+class TestCheckerRejects:
+    """One tampered text per rejection branch of the checker."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("CERT span\nCERT span\nEND\n", "line 2: CERT inside an open block"),
+            ("END\n", "line 1: END without CERT"),
+            (
+                "CERT conic\nDIM 1\nGEN 0 1\nTARGET 1\nCOEFF 5 1\nEND\n",
+                "unknown generator index 5",
+            ),
+            ("CERT conic\nDIM 1\nGEN 0 1\nGEN 0 2\nEND\n", "line 4: duplicate generator 0"),
+            ("CERT conic\nDIM 1\nBASIS 1\nEND\n", "line 3: unknown tag BASIS"),
+            ("CERT conic\nDIM one\nEND\n", "line 2: malformed field"),
+            ("CERT conic\nGEN 0 1\nTARGET 1\nEND\n", "missing DIM"),
+            ("CERT conic\nDIM 2\nGEN 0 1\nTARGET 1 0\nEND\n", "generator dimension mismatch"),
+            (
+                "CERT conic\nDIM 1\nGEN 0 1\nTARGET 2\nCOEFF 0 1\nCOEFF 0 1\nEND\n",
+                "duplicate COEFF index",
+            ),
+            (SPAN_1D.replace("COEFF 0 1\n", "COEFF 0 1\nCOEFF 0 0\n"), "duplicate COEFF index"),
+            (
+                "CERT conic\nDIM 1\nGEN 0 1\nTARGET 2\nCOEFF 0 1\nEND\n",
+                "does not reproduce the target",
+            ),
+            ("CERT farkas\nDIM 1\nGEN 0 1\nEND\n", "needs a WITNESS"),
+            (
+                "CERT farkas\nDIM 2\nGEN 0 1 0\nWITNESS -1 0\nTARGET 0 1\nEND\n",
+                "witness fails <w, target> > 0",
+            ),
+            (
+                SPAN_1D.replace("CERT span\n", "CERT transversal\nPICK 0 0\n"),
+                "pick count and generator count differ",
+            ),
+            ("# nothing but a comment\n\n", "no certificates found"),
+        ],
+    )
+    def test_rejection(self, text, message):
+        with pytest.raises(CheckFailure, match=re.escape(message)):
+            check_text(text)
+
+    def test_untampered_texts_pass(self):
+        # the texts above are tampered from these
+        assert check_text(SPAN_1D) == ["span"]
+        transversal = SPAN_1D.replace("CERT span\n", "CERT transversal\nPICK 0 0\nPICK 1 0\n")
+        assert check_text(transversal) == ["transversal"]
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        lines = span_cert_text().splitlines()
+        padded = ["# a comment", ""]
+        for line in lines:
+            padded += [line, "   ", "  # indented comment"]
+        assert check_text("\n".join(padded) + "\n") == ["span"]
 
 
 class TestCheckerSubprocess:

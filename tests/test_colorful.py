@@ -19,9 +19,11 @@ from colorsteinitz.colorful import (
     colorful_transversal,
     find_small_transversal,
     p_set,
+    structural_bcase,
+    structural_pcase,
 )
 from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning, spans_space
-from colorsteinitz.errors import NotSpanning, ZeroPoint
+from colorsteinitz.errors import DimensionMismatch, NotSpanning, ZeroPoint
 from colorsteinitz.oracle import (
     _transform_system,
     _unimodular_map,
@@ -58,6 +60,18 @@ class TestColourSystem:
         with pytest.raises(NotSpanning) as exc:
             sys_.check_spanning()
         assert exc.value.colour == 1
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            ColourSystem(0, ())
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="colour set 1 is empty"):
+            ColourSystem(1, ((P(1), P(-1)), ()))
+
+    def test_wrong_point_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="point 1 of set 0"):
+            ColourSystem(1, ((P(1), P(-1, 1)), (P(1), P(-1))))
 
 
 class TestRays:
@@ -179,6 +193,24 @@ class TestPSet:
 
 
 class TestClassify:
+    def test_six_dependent_rays_are_no_bcase(self):
+        rays = (P(1, 0, 0), P(-1, 0, 0), P(0, 1, 0), P(0, -1, 0), P(1, 1, 0), P(-1, -1, 0))
+        assert structural_bcase(ColourSystem(3, (rays,) * 6)) is None
+
+    def test_d_plus_two_rays_are_no_pcase(self):
+        f = (P(1, 0), P(0, 1), P(-1, -1), P(1, 1))
+        system = ColourSystem(2, (f, f, tuple(map(neg, f)), tuple(map(neg, f))))
+        assert structural_pcase(system) is None
+        assert isinstance(classify(system), Neither)
+
+    def test_d_plus_one_rays_that_do_not_span_are_no_pcase(self):
+        f = (P(1, 0), P(0, 1), P(1, 1))
+        system = ColourSystem(2, (f, f, tuple(map(neg, f)), tuple(map(neg, f))))
+        assert structural_pcase(system) is None
+        with pytest.raises(NotSpanning) as exc:
+            classify(system)
+        assert exc.value.colour == 0
+
     def test_bcase(self):
         res = classify(bcase2())
         assert isinstance(res, BCase)

@@ -124,6 +124,32 @@ class TestPosMembership:
             assert isinstance(a, ConicCertificate) == isinstance(b, ConicCertificate)
 
 
+class TestCertificateRejection:
+    # (1, 1) = 1 * (1, 0) + 1 * (0, 1); each bad certificate would pass but
+    # for the one check it is meant to fail
+    GENS = (P(1, 0), P(0, 1), P(2, 1))
+
+    @pytest.mark.parametrize(
+        "indices, coefficients",
+        [
+            ((0, 1), (1, 1, 5)),  # lengths differ
+            ((0, 1, 1), (1, Fraction(1, 2), Fraction(1, 2))),  # repeated index
+            ((0, 1, 2), (3, 2, -1)),  # negative coefficient
+            ((0, 1, -1), (1, 1, 0)),  # index out of range
+        ],
+    )
+    def test_conic_certificate_rejects(self, indices, coefficients):
+        assert ConicCertificate((0, 1), (1, 1), P(1, 1)).verify(self.GENS)
+        coefficients = tuple(map(Fraction, coefficients))
+        assert not ConicCertificate(indices, coefficients, P(1, 1)).verify(self.GENS)
+
+    def test_span_certificate_rejects_directions_out_of_order(self):
+        cert = spans_space(units(2))
+        assert cert.verify(units(2))
+        swapped = cert.certificates[1::-1] + cert.certificates[2:]
+        assert not SpanCertificate(2, swapped).verify(units(2))
+
+
 class TestSpansSpace:
     def test_plus_minus_basis(self):
         res = spans_space(units(2))

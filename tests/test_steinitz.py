@@ -184,6 +184,11 @@ class TestBasisCase:
         assert basis == (P(1, 0), P(0, -1))
         assert all(type(x) is Fraction for r in basis for x in r)
 
+    def test_dependent_pairs_are_no_basis(self):
+        # 2d rays closed under negation, but the three pairs span a plane
+        pts = [P(1, 0, 0), P(-1, 0, 0), P(0, 1, 0), P(0, -1, 0), P(1, 1, 0), P(-1, -1, 0)]
+        assert steinitz.basis_case(pts) is None
+
 
 class TestRefineBelow2d:
     def test_empty_input_raises_value_error(self):
