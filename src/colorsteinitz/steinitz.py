@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import mul
 
 from .caratheodory import cone_caratheodory
@@ -20,16 +21,16 @@ from .ratlin import integer_line, integer_ray, neg, null_space, rank
 
 
 def _minor_plan(d):
-    """Laplace expansion along the last row, for sizes s = 2..d-1.
+    """Laplace expansion along the last row, for sizes s = 1..d-1.
 
     Level s lists, for each s-subset T of the d columns in ``combinations``
     order, the terms (sign, column, position of the (s-1)-subset T minus
     that column): the s-minor on T of rows r_1..r_s is the sum over terms
-    of sign * r_s[column] * the (s-1)-minor of r_1..r_{s-1}.  The 1-minors
-    of one row are its entries.
+    of sign * r_s[column] * the (s-1)-minor of r_1..r_{s-1}.  The one
+    0-minor, of no rows, is 1.
     """
     plan = []
-    for s in range(2, d):
+    for s in range(1, d):
         prev = {c: i for i, c in enumerate(combinations(range(d), s - 1))}
         plan.append([
             [((-1) ** (s - 1 + i), c, prev[cols[:i] + cols[i + 1 :]]) for i, c in enumerate(cols)]
@@ -38,30 +39,59 @@ def _minor_plan(d):
     return plan
 
 
-def _hull_normals(lines, d, plan):
-    """Integer vectors spanning the orthogonal complement of span(lines).
+def _hull_test(lines, d):
+    """Predicate on integer vectors v with first entry 1: does v lie in the
+    linear span of some min(d-1, L) of the L distinct integer lines?
 
-    d-1 independent lines have one normal, their signed (d-1)-minors (the
-    generalised cross product), returned as computed: it is not made
-    primitive, so equal hulls can have different normals.  Otherwise the
-    exact null space basis, which is canonical.
+    If the lines do not span R^d, every such hull lies in span(lines) and
+    one of them is all of it, so the test is one dot product per normal of
+    span(lines).  If they do, v lies in the span of d-1 lines iff v is a
+    line or two (d-2)-subsets T1, T2 of the lines with span T1 != span T2
+    span the same hyperplane together with v.  (Such v lies in the span of
+    d-1 independent lines S; if v uses two of them, dropping either one
+    leaves such a pair with hyperplane span S, and if it uses one, v is
+    that line.  Conversely such a pair has rank d-1 inside the hyperplane,
+    which then is its span and contains v.)  Each T is keyed by the
+    integer line of the (d-1)-minors of T and v, which are A_T v for a
+    d x d integer matrix A_T built once from the (d-2)-minors of T; a zero
+    key means v is in span T.  Of the T with one key the first is kept,
+    and a later T2 differs from it in span iff A_T1 x != 0 for some x in
+    T2.
     """
-    if len(lines) == d - 1:
-        minors = lines[0]
-        for row, level in zip(lines[1:], plan):
-            new = []
-            for terms in level:
-                acc = 0
-                for sign, c, i in terms:
-                    acc += sign * row[c] * minors[i]
-                new.append(acc)
-            minors = new
-        # the (d-1)-subsets run from the one missing column d-1 to the one
-        # missing column 0; cofactor j is (-1)^j times the minor missing j
-        normal = tuple((-1) ** j * minors[d - 1 - j] for j in range(d))
-        if any(normal):
-            return (normal,)
-    return tuple(tuple(int(x) for x in b) for b in null_space(lines))
+    if d == 1 or not lines:
+        return lambda v: False  # the zero hull holds no v, whose v[0] is 1
+    rows = list(lines)
+    if rank(rows) < d:
+        normals = [tuple(map(int, n)) for n in null_space(rows)]
+        return lambda v: not any(sum(map(mul, n, v)) for n in normals)
+    *levels, last = _minor_plan(d)
+    forms = []
+    for subset in combinations(rows, d - 2):
+        minors = (1,)
+        for row, level in zip(subset, levels):
+            minors = [sum(sign * row[c] * minors[i] for sign, c, i in terms) for terms in level]
+        matrix = []
+        for terms in last:
+            a = [0] * d
+            for sign, c, i in terms:
+                a[c] = sign * minors[i]
+            matrix.append(a)
+        forms.append((subset, matrix))
+
+    def in_some_hull(v):
+        if v in lines:
+            return True
+        first = {}
+        for subset, matrix in forms:
+            key = integer_line([sum(map(mul, a, v)) for a in matrix])
+            if key is None:
+                continue  # v is in span(subset)
+            seen = first.setdefault(key, matrix)
+            if seen is not matrix and any(any(sum(map(mul, a, x)) for a in seen) for x in subset):
+                return True
+        return False
+
+    return in_some_hull
 
 
 def generic_direction(points):
@@ -69,17 +99,17 @@ def generic_direction(points):
 
     Returns v = (1, t, t^2, ..., t^{d-1}) as Fractions for the least integer
     t >= 1 such that v lies in the linear span of no min(d-1, n) of the n
-    input points.  Each hull is described once: points become primitive
-    integer lines, every min(d-1, L) of the L distinct nonzero lines span
-    one hull (zero points, repeats and antipodes add nothing), and hulls
-    with identical tuples of integer normals are merged.  v(t) is in a hull
-    iff every normal n of it has n . v(t) = 0, an integer test.
+    input points.  Points become primitive integer lines (zero points,
+    repeats and antipodes add nothing), and each v(t) in turn is tested by
+    ``_hull_test``, on integers: against span(lines) when the L lines do
+    not span R^d, else against the lines and the C(L, d-2) hyperplanes that
+    (d-2)-subsets of them span together with v(t).
 
-    Walk bound: n . v(t) is a nonzero polynomial of degree <= d-1 in t, so
-    each of the H distinct normal tuples (at least the number of distinct
-    hulls, since a hull's cross-product normal is not made primitive) rules
-    out at most d-1 values of t, and some t <= (d-1)*H + 1 is accepted.
-    Passing that bound raises RecursionInvariantViolation.
+    Walk bound: each hull of k = min(d-1, L) lines lies in a hyperplane,
+    whose normal n makes n . v(t) a nonzero polynomial of degree <= d-1 in
+    t, so the C(L, k) hulls rule out at most (d-1)*C(L, k) values of t and
+    some t <= (d-1)*C(L, k) + 1 is accepted.  Passing that bound raises
+    RecursionInvariantViolation.
     """
     points = list(points)
     if not points:
@@ -89,20 +119,11 @@ def generic_direction(points):
         if len(p) != d:
             raise DimensionMismatch(f"point of length {len(p)} among points of length {d}")
     lines = set(map(integer_line, points)) - {None}
-    k = min(d - 1, len(lines))
-    # the zero hull (k == 0) contains no v(t), whose first coordinate is 1
-    plan = _minor_plan(d)
-    hulls = {_hull_normals(s, d, plan) for s in combinations(lines, k)} if k else set()
-    for t in range(1, (d - 1) * len(hulls) + 2):
-        powers = [t**i for i in range(d)]
-        for normals in hulls:
-            for n in normals:
-                if sum(map(mul, n, powers)):
-                    break  # v(t) is off this hull
-            else:
-                break  # v(t) is orthogonal to every normal: in this hull
-        else:
-            return tuple(Fraction(x) for x in powers)
+    in_some_hull = _hull_test(lines, d)
+    for t in range(1, (d - 1) * comb(len(lines), min(d - 1, len(lines))) + 2):
+        v = tuple(t**i for i in range(d))
+        if not in_some_hull(v):
+            return tuple(map(Fraction, v))
     raise RecursionInvariantViolation("moment-curve walk passed its bound")
 
 

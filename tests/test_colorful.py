@@ -154,6 +154,13 @@ class TestColorfulTransversal:
         text = certio.render_transversal(tv.picks, cert, tv.points(sys_))
         assert check_text(text) == ["transversal"]
 
+    def test_random_d5_certificate_checks(self):
+        sys_ = generate_random(5, seed=0)
+        tv, cert = colorful_transversal(sys_)
+        assert [c for c, _ in tv.picks] == list(range(10))
+        text = certio.render_transversal(tv.picks, cert, tv.points(sys_))
+        assert check_text(text) == ["transversal"]
+
     def test_not_spanning_rejected(self):
         sets = (units(2),) * 3 + ((P(1, 0), P(0, 1)),)
         sys_ = ColourSystem(2, sets)

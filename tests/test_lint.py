@@ -132,6 +132,7 @@ INT_KERNELS = {
         "lp_feasibility",
     ),
     "cones.py": ("nearest_cone_point", "spanning", "_gale_half_plane"),
+    "steinitz.py": ("generic_direction", "_hull_test"),
 }
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}

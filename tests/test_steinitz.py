@@ -3,14 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorsteinitz import steinitz
 from colorsteinitz.cones import SpanCertificate, spanning
 from colorsteinitz.errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
 from colorsteinitz.oracle import generate_random
-from colorsteinitz.ratlin import in_linear_hull
+from colorsteinitz.ratlin import in_linear_hull, integer_line, null_space, rank
 from colorsteinitz.steinitz import (
     BasisCaseWitness,
     ReducedSet,
@@ -59,8 +62,8 @@ class TestGenericDirection:
             generic_direction(pts)
 
     def test_walk_bound_is_enforced(self, monkeypatch):
-        # a zero normal puts every v(t) in the hull, so the walk must stop
-        monkeypatch.setattr(steinitz, "_hull_normals", lambda lines, d, plan: ((0,) * d,))
+        # a hull test that puts every v(t) in some hull: the walk must stop
+        monkeypatch.setattr(steinitz, "_hull_test", lambda lines, d: lambda v: True)
         with pytest.raises(RecursionInvariantViolation):
             generic_direction(units(3))
 
@@ -81,6 +84,45 @@ class TestGenericDirection:
             assert v == _subset_walk(pts), (kind, pts)
             assert all(type(x) is Fraction for x in v)
 
+    def test_matches_hull_normal_walk(self):
+        """Same v as the walk over every hull's integer normals."""
+        cases = _hull_walk_inputs()
+        kinds = {kind for kind, _ in cases}
+        assert kinds == {"random", "flat", "zero", "repeat", "antipodal", "union"}
+        assert {len(pts[0]) for _, pts in cases} == {1, 2, 3, 4, 5}
+        assert len(cases) >= 3000
+        stepped = set()
+        for kind, pts in cases:
+            v = generic_direction(pts)
+            assert v == reference_generic_direction(pts), (kind, pts)
+            if v[1:] and v[1] > 1:
+                stepped.add(kind)
+        # every kind has inputs that the walk does not accept at t = 1
+        assert stepped == kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*(st.integers(-3, 3) for _ in range(d))), min_size=1, max_size=7
+            )
+        ),
+        st.randoms(use_true_random=False),
+        st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(1, 2), Fraction(5)]),
+    )
+    def test_invariant_under_line_preserving_changes(self, rows, rng, factor):
+        pts = [P(*r) for r in rows]
+        d = len(pts[0])
+        v = generic_direction(pts)
+        shuffled = rng.sample(pts, len(pts))
+        assert generic_direction(shuffled) == v
+        assert generic_direction([tuple(factor * x for x in p) for p in pts]) == v
+        assert generic_direction(pts + [rng.choice(pts)]) == v
+        assert generic_direction(pts[:1] + [(Fraction(0),) * d] + pts[1:]) == v
+        # off every hull of min(d-1, n) points: adding v raises the rank
+        for s in combinations(pts, min(d - 1, len(pts))):
+            assert rank(list(s) + [v]) == rank(list(s)) + 1
+
 
 def _subset_walk(points):
     """Reference: the least t whose v(t) no min(d-1, n)-subset spans."""
@@ -92,6 +134,86 @@ def _subset_walk(points):
         if all(not in_linear_hull(v, s) for s in subsets):
             return v
         t += 1
+
+
+def reference_generic_direction(points):
+    """The hull-normal walk that generic_direction replaced.
+
+    Every min(d-1, L)-subset of the L distinct lines is one hull, described
+    by its integer normals: the raw signed (d-1)-minors when d-1 lines are
+    independent, else an exact null space basis.  It returns v(t) for the
+    least t at which every hull has a normal n with n . v(t) != 0.
+    """
+    d = len(points[0])
+    lines = set(map(integer_line, points)) - {None}
+    k = min(d - 1, len(lines))
+    hulls = {_hull_normals(s, d) for s in combinations(lines, k)} if k else set()
+    for t in range(1, (d - 1) * len(hulls) + 2):
+        powers = [t**i for i in range(d)]
+        if all(any(sum(map(mul, n, powers)) for n in normals) for normals in hulls):
+            return tuple(Fraction(x) for x in powers)
+    raise AssertionError("reference walk passed its bound")
+
+
+def _hull_normals(lines, d):
+    """The raw signed (d-1)-minors of d-1 independent lines, not made
+    primitive; otherwise the exact null space basis."""
+    if len(lines) == d - 1:
+        # expand along the last row; minors[cols] of the rows so far
+        minors = {(c,): x for c, x in enumerate(lines[0])}
+        for s, row in enumerate(lines[1:], 2):
+            minors = {
+                cols: sum(
+                    (-1) ** (s - 1 + i) * row[c] * minors[cols[:i] + cols[i + 1 :]]
+                    for i, c in enumerate(cols)
+                )
+                for cols in combinations(range(d), s)
+            }
+        normal = tuple(
+            (-1) ** j * minors[tuple(c for c in range(d) if c != j)] for j in range(d)
+        )
+        if any(normal):
+            return (normal,)
+    return tuple(tuple(int(x) for x in b) for b in null_space(list(lines)))
+
+
+def _hull_walk_inputs():
+    """Seeded (kind, points) inputs for d = 1..5, each degenerate kind."""
+    rng = random.Random(1616)
+
+    def point(d):
+        return tuple(Fraction(rng.randint(-3, 3)) for _ in range(d))
+
+    def curve(d, t):
+        return tuple(Fraction(t**j) for j in range(d))
+
+    cases = []
+    for i in range(3000):
+        d = 1 + i % 5
+        kind = ("random", "flat", "zero", "repeat", "antipodal")[i // 5 % 5]
+        n = rng.randint(1, 9 - max(0, d - 3))
+        pts = [point(d) for _ in range(n)]
+        if kind == "flat":  # a flat of dimension < d through v(1) or v(2)
+            basis = [curve(d, rng.randint(1, 2))]
+            basis += [point(d) for _ in range(rng.randint(0, max(0, d - 2)))]
+            pts = []
+            for _ in range(n):
+                coef = [rng.randint(-2, 2) for _ in basis]
+                pts.append(tuple(sum(c * b[j] for c, b in zip(coef, basis)) for j in range(d)))
+        elif kind == "zero":
+            for _ in range(rng.randint(1, 2)):
+                pts.insert(rng.randrange(len(pts) + 1), (Fraction(0),) * d)
+        elif kind == "repeat":
+            for _ in range(rng.randint(1, 3)):
+                q = rng.choice(pts)
+                pts.append(tuple(Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2))) * x for x in q))
+        elif kind == "antipodal":
+            for _ in range(rng.randint(1, 3)):
+                pts.append(tuple(-rng.randint(1, 2) * x for x in rng.choice(pts)))
+        cases.append((kind, pts))
+    for seed in range(2):
+        cases.append(("union", [p for s in generate_random(4, seed=seed).sets for p in s]))
+    return cases
 
 
 def _differential_inputs():
