@@ -18,6 +18,7 @@ from .ratlin import (
     Point,
     _echelon,
     _int_dot,
+    _null_basis,
     add,
     dot,
     integer_ray,
@@ -205,16 +206,15 @@ def spans_space(generators):
 
 def _gale_half_plane(columns, n) -> bool:
     """Decide pos T = R^d for n points, d < n <= d + 2, given as the d x n
-    matrix ``columns``, by one fraction-free ``_echelon`` on ints.
+    matrix ``columns``, by one integer ``_null_basis``.
 
     T spans iff rank T = d and a strictly positive vector lies in the null
-    space of the matrix (Davis 1954).  With rank d, the reduced form m,
-    whose pivot entries are den, gives a null basis of k = n - d <= 2
-    vectors, one per free column f: den at f, -m[r][f] at the r-th pivot
-    column and 0 at the other free columns.  Row i of this n x k basis is
-    the Gale vector g_i of t_i (Gruenbaum, Convex Polytopes, 5.4), so a
-    dependence N lam > 0 exists iff every g_i lies in the open half-plane
-    {g : <lam, g> > 0}.  For k = 1 the rows are padded to (g_i, 0).
+    space of the matrix (Davis 1954).  Rank T < d iff the basis has more
+    than n - d vectors.  With rank d it has k = n - d <= 2, and row i of
+    this n x k basis is the Gale vector g_i of t_i (Gruenbaum, Convex
+    Polytopes, 5.4), so a dependence N lam > 0 exists iff every g_i lies in
+    the open half-plane {g : <lam, g> > 0}.  For k = 1 the rows are padded
+    to (g_i, 0).
 
     Finitely many plane vectors lie in an open half-plane iff some g_j has
     every g_i strictly counterclockwise of it within pi, cross(g_j, g_i) > 0,
@@ -225,17 +225,15 @@ def _gale_half_plane(columns, n) -> bool:
     the test, as cross and dot with it are 0; rightly, since every
     dependence then vanishes at t_i.  For k = 1 the test reads: all g_i are
     nonzero and of one sign.  Cross and dot are bilinear, so scaling every
-    g_i by den multiplies both by den^2 > 0: the sign of den does not matter.
+    g_i by the basis's common factor den multiplies both by den^2 > 0: the
+    sign of den does not matter.
     """
-    m, pivots, den = _echelon(columns, True)
-    if len(pivots) < len(columns):
+    basis = _null_basis(columns, n)
+    if len(basis) > n - len(columns):
         return False
-    free = [f for f in range(n) if f not in pivots]
-    gale = [[den if i == f else 0 for f in free] for i in range(n)]
-    for row, p in zip(m, pivots):
-        gale[p] = [-row[f] for f in free]
-    if len(free) == 1:
-        gale = [(g[0], 0) for g in gale]
+    if len(basis) == 1:
+        basis.append([0] * n)
+    gale = list(zip(*basis))
     return any(
         all(
             (cross := x * v - y * u) > 0 or (cross == 0 and x * u + y * v > 0)

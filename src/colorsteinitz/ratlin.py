@@ -8,10 +8,12 @@ Everything here is a pure function over immutable values.
 All elimination is one fraction-free pivot step, ``_pivot`` (Bareiss 1968),
 on ``int`` only and never with ``/``.  ``_echelon`` scales each row to
 coprime integers and pivots forward (``rank``) or Gauss-Jordan (``rref``,
-``null_space``, ``solve_columns``), which only turn the final integers into
-Fractions.  ``lp_feasibility`` is a simplex on a tableau whose columns are
-scaled to integers, pivoted by the same step.  A positive column scaling
-keeps the pivots of Bland's rule, so the simplex returns exactly the
+``_null_basis``, ``solve_columns``); only the final integers become
+Fractions.  ``_null_basis`` is the one place that reads null vectors off the
+reduced form, for ``null_space``, the Gale vectors of ``cones`` and the hull
+normals of ``steinitz``.  ``lp_feasibility`` is a simplex on a tableau whose
+columns are scaled to integers, pivoted by the same step.  A positive column
+scaling keeps the pivots of Bland's rule, so the simplex returns exactly the
 coefficients and witnesses of a Fraction tableau, as Fractions.
 """
 
@@ -188,8 +190,27 @@ def rank(rows) -> int:
     return len(_echelon(rows, False)[1])
 
 
+def _null_basis(rows, ncols):
+    """Integer basis of {x : Rx = 0} for rows of width ncols, by one reduced
+    ``_echelon`` (m, pivots, den): per free column f, in order, den at f,
+    -m[r][f] at the r-th pivot column and 0 at the other free columns.  The
+    vectors are den times the rational basis, not made primitive; for no
+    rows they are the ncols unit vectors.
+    """
+    m, pivots, den = _echelon(rows, True)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = den
+            for row, p in zip(m, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
+
+
 def null_space(rows):
-    """Basis of {x : Rx = 0}, rows acting on the left.
+    """Basis of {x : Rx = 0}, rows acting on the left, from ``_null_basis``.
 
     Each basis vector is primitive integer with first nonzero coordinate
     positive, so the output is deterministic.  Raises ValueError on an
@@ -197,19 +218,7 @@ def null_space(rows):
     """
     if not rows:
         raise ValueError("null space of an empty matrix")
-    ncols = len(rows[0])
-    m, pivots, den = _echelon(rows, True)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = den
-        for r_i, pc in enumerate(pivots):
-            v[pc] = -m[r_i][f]
-        basis.append(tuple(map(Fraction, integer_line(v))))
-    return basis
+    return [tuple(map(Fraction, integer_line(v))) for v in _null_basis(rows, len(rows[0]))]
 
 
 def solve_columns(cols, target):

@@ -17,77 +17,51 @@ from operator import mul
 from .caratheodory import cone_caratheodory
 from .cones import SpanCertificate, require_spanning, spanning, spans_space
 from .errors import DimensionMismatch, RecursionInvariantViolation
-from .ratlin import integer_line, integer_ray, neg, null_space, rank
-
-
-def _minor_plan(d):
-    """Laplace expansion along the last row, for sizes s = 1..d-1.
-
-    Level s lists, for each s-subset T of the d columns in ``combinations``
-    order, the terms (sign, column, position of the (s-1)-subset T minus
-    that column): the s-minor on T of rows r_1..r_s is the sum over terms
-    of sign * r_s[column] * the (s-1)-minor of r_1..r_{s-1}.  The one
-    0-minor, of no rows, is 1.
-    """
-    plan = []
-    for s in range(1, d):
-        prev = {c: i for i, c in enumerate(combinations(range(d), s - 1))}
-        plan.append([
-            [((-1) ** (s - 1 + i), c, prev[cols[:i] + cols[i + 1 :]]) for i, c in enumerate(cols)]
-            for cols in combinations(range(d), s)
-        ])
-    return plan
+from .ratlin import _null_basis, integer_line, integer_ray, neg, rank
 
 
 def _hull_test(lines, d):
     """Predicate on integer vectors v with first entry 1: does v lie in the
     linear span of some min(d-1, L) of the L distinct integer lines?
 
-    If the lines do not span R^d, every such hull lies in span(lines) and
-    one of them is all of it, so the test is one dot product per normal of
-    span(lines).  If they do, v lies in the span of d-1 lines iff v is a
-    line or two (d-2)-subsets T1, T2 of the lines with span T1 != span T2
-    span the same hyperplane together with v.  (Such v lies in the span of
-    d-1 independent lines S; if v uses two of them, dropping either one
-    leaves such a pair with hyperplane span S, and if it uses one, v is
-    that line.  Conversely such a pair has rank d-1 inside the hyperplane,
-    which then is its span and contains v.)  Each T is keyed by the
-    integer line of the (d-1)-minors of T and v, which are A_T v for a
-    d x d integer matrix A_T built once from the (d-2)-minors of T; a zero
-    key means v is in span T.  Of the T with one key the first is kept,
-    and a later T2 differs from it in span iff A_T1 x != 0 for some x in
-    T2.
+    If the lines do not span R^d, one such hull is span(lines), which holds
+    the others, so v is tested against the lines' ``_null_basis``.  If they
+    do, v lies in the span of d-1 lines iff v is a line or two
+    (d-2)-subsets T1, T2 with span T1 != span T2 span one hyperplane
+    together with v.  (Such v lies in the span of d-1 independent lines S;
+    if v uses two of them, dropping either one leaves such a pair with
+    hyperplane span S, and if it uses one, v is that line.  Conversely such
+    a pair has rank d-1 in the hyperplane, which then is its span and holds
+    v.)  An independent T, with null basis n1, n2, is keyed by the integer
+    line of (n2.v) n1 - (n1.v) n2: the normal of span(T, v), zero iff v is
+    in span T.  A dependent T is skipped.  The first T per key is kept, and
+    a later T2 differs from it in span iff n.x != 0 for an n of its pair
+    and an x in T2.
     """
     if d == 1 or not lines:
         return lambda v: False  # the zero hull holds no v, whose v[0] is 1
     rows = list(lines)
-    if rank(rows) < d:
-        normals = [tuple(map(int, n)) for n in null_space(rows)]
+    normals = _null_basis(rows, d)
+    if normals:
         return lambda v: not any(sum(map(mul, n, v)) for n in normals)
-    *levels, last = _minor_plan(d)
-    forms = []
+    pairs = []
     for subset in combinations(rows, d - 2):
-        minors = (1,)
-        for row, level in zip(subset, levels):
-            minors = [sum(sign * row[c] * minors[i] for sign, c, i in terms) for terms in level]
-        matrix = []
-        for terms in last:
-            a = [0] * d
-            for sign, c, i in terms:
-                a[c] = sign * minors[i]
-            matrix.append(a)
-        forms.append((subset, matrix))
+        pair = _null_basis(subset, d)
+        if len(pair) == 2:
+            pairs.append((subset, pair))
 
     def in_some_hull(v):
         if v in lines:
             return True
         first = {}
-        for subset, matrix in forms:
-            key = integer_line([sum(map(mul, a, v)) for a in matrix])
+        for subset, pair in pairs:
+            n1, n2 = pair
+            a, b = sum(map(mul, n1, v)), sum(map(mul, n2, v))
+            key = integer_line([b * x - a * y for x, y in zip(n1, n2)])
             if key is None:
                 continue  # v is in span(subset)
-            seen = first.setdefault(key, matrix)
-            if seen is not matrix and any(any(sum(map(mul, a, x)) for a in seen) for x in subset):
+            seen = first.setdefault(key, pair)
+            if seen is not pair and any(sum(map(mul, n, x)) for n in seen for x in subset):
                 return True
         return False
 

@@ -8,6 +8,7 @@ import ast
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,7 @@ class TestTamperDetection:
 
 
 SPAN_1D = "CERT span\nDIM 1\nGEN 0 1\nGEN 1 -1\nDIR 1\nCOEFF 0 1\nDIR -1\nCOEFF 1 1\nEND\n"
+ORDER = "span directions are not +e_1..+e_d, -e_1..-e_d in order"
 
 
 class TestCheckerRejects:
@@ -157,12 +159,23 @@ class TestCheckerRejects:
                 SPAN_1D.replace("CERT span\n", "CERT transversal\nPICK 0 0\n"),
                 "pick count and generator count differ",
             ),
+            (SPAN_1D.replace("DIR -1\n", ""), ORDER),
+            (SPAN_1D.replace("DIR -1\n", "DIR -1 0\n"), ORDER),
+            (SPAN_1D.replace("DIR 1\n", "DIR 2\n"), ORDER),
             ("# nothing but a comment\n\n", "no certificates found"),
         ],
     )
     def test_rejection(self, text, message):
         with pytest.raises(CheckFailure, match=re.escape(message)):
             check_text(text)
+
+    @pytest.mark.parametrize("kind", ["span", "transversal"])
+    def test_huge_dim_without_directions_is_rejected_at_once(self, kind):
+        # the 2 DIM x DIM expected directions must not be built for this
+        start = time.perf_counter()
+        with pytest.raises(CheckFailure, match=re.escape(ORDER)):
+            check_text(f"CERT {kind}\nDIM 100000\nEND\n")
+        assert time.perf_counter() - start < 0.5
 
     def test_untampered_texts_pass(self):
         # the texts above are tampered from these

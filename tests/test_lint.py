@@ -127,6 +127,7 @@ INT_KERNELS = {
         "_echelon",
         "rank",
         "rref",
+        "_null_basis",
         "null_space",
         "solve_columns",
         "lp_feasibility",

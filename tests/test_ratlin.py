@@ -12,6 +12,7 @@ from colorsteinitz.errors import DimensionMismatch, ParseError
 from colorsteinitz.ratlin import (
     Feasible,
     Infeasible,
+    _null_basis,
     dot,
     in_linear_hull,
     integer_line,
@@ -335,6 +336,19 @@ class TestFractionFreeEchelon:
             assert x == reference_solve_columns(cols, target), (cols, target)
             if x is not None:
                 assert all(type(c) is Fraction for c in x)
+
+
+    def test_null_basis(self):
+        assert _null_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        rng = random.Random(2025)
+        for _ in range(3000):
+            rows = _random_matrix(rng)
+            ncols = len(rows[0])
+            basis = _null_basis(rows, ncols)
+            assert len(basis) == ncols - len(reference_rref(rows)[1]), rows
+            assert all(type(x) is int for v in basis for x in v)
+            assert all(dot(row, v) == 0 for row in rows for v in basis), rows
+            assert rank(basis) == len(basis), rows
 
 
 class TestIntCoordinates:
