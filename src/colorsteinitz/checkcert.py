@@ -130,19 +130,13 @@ def check_block(block):
                 raise CheckFailure("transversal picks a colour twice")
             if len(picks) != len(gens):
                 raise CheckFailure("pick count and generator count differ")
-        order = "span directions are not +e_1..+e_d, -e_1..-e_d in order"
-        got = [direction for direction, _ in directions]
-        # the count and lengths first: the expected list has 2 dim^2 entries
-        if len(got) != 2 * dim or any(len(g) != dim for g in got):
-            raise CheckFailure(order)
-        want = []
-        for sign in (1, -1):
-            for axis in range(dim):
-                want.append(
-                    tuple(Fraction(sign) if i == axis else Fraction(0) for i in range(dim))
-                )
-        if got != want:
-            raise CheckFailure(order)
+        # the count first, then each DIR against sign * e_axis: linear in the input
+        axes = ((sign, axis) for sign in (1, -1) for axis in range(dim))
+        if len(directions) != 2 * dim or any(
+            len(g) != dim or any(x != (sign if i == axis else 0) for i, x in enumerate(g))
+            for (sign, axis), (g, _) in zip(axes, directions)
+        ):
+            raise CheckFailure("span directions are not +e_1..+e_d, -e_1..-e_d in order")
         for direction, coeffs in directions:
             idxs = [i for i, _ in coeffs]
             if len(set(idxs)) != len(idxs):
