@@ -121,8 +121,9 @@ def pos_membership(v: Point, generators):
     return FarkasWitness(res.witness, tuple(v))
 
 
-# Process-wide memos; the functions are pure and the exhaustive d=2 sweeps
-# ask about the same few generator sets millions of times.
+# Process-wide memos of pure functions.  The exhaustive d=2 sweeps ask about
+# the same few generator sets millions of times, and the constructions ask
+# about one colour system's union several times.
 # - _SPAN_BOOL: the yes/no answer of spanning(), keyed on the frozenset of the
 #   generators, because a positive hull depends neither on order nor on
 #   repetition.  Scans over a colour system ask about integer_ray() tuples,
@@ -136,16 +137,34 @@ def pos_membership(v: Point, generators):
 #   than recomputing the rays: without it perfbench's sweep_d2 solved about
 #   18% fewer systems per second (12.4k -> 10.1k, medians of three
 #   alternating 10 s runs on a 2-vCPU VM, Python 3.11).
+# - _DIRECTIONS: steinitz.generic_direction()'s v, keyed on (d, frozenset of
+#   the points' integer_line()s), which is all that v depends on, so a colour
+#   system's union, steinitz_reduce() and refine_below_2d() share one walk.
+#   Once v costs O(n*d) (a root bound instead of the walk), delete it.
+# - _REDUCED: steinitz.steinitz_reduce()'s ReducedSet, keyed on the exact
+#   point tuple, since its indices point into that tuple.
 # Each holds at most _MEMO_LIMIT entries: _remember() drops the oldest entry
 # (dicts keep insertion order) before adding one to a full memo.  The limit
 # is about twice the most keys a 20 s benchmark run stores (about 7k
 # classify systems of random d=3/4 sets, 17.5 _SPAN_BOOL keys each), so no
-# run evicts; at a few hundred bytes an entry a full memo stays near 100 MB.
+# run evicts.  It bounds entries, not bytes.  Measured with tracemalloc
+# (Python 3.11) on generate_random unions: a _DIRECTIONS entry takes about
+# 3.3 KB for a 30-point d=3 union and 6.0 KB for a 48-point d=4 union; a
+# _REDUCED entry about 0.8 KB beside the points, 10 KB (d=3) and 18 KB (d=4)
+# when it alone keeps them alive; _SPAN_BOOL and _SPAN_CACHE entries about
+# 1.3 KB and 1.8-2.6 KB beside their points.  One perfbench construct system
+# leaves 26 KB in all five memos at d=3 (22 KB before the last two) and
+# 41 KB at d=4.  So the worst case is large: 2^18 distinct d=4 unions would
+# keep about 1.6 GB in _DIRECTIONS and 4.8 GB in _REDUCED.  A long-running
+# caller that reduces many distinct large sets should call
+# clear_span_cache() between batches.
 _MEMO_LIMIT = 1 << 18
 _SPAN_CACHE = {}
 _SPAN_BOOL = {}
 _RAY_SETS = {}
-_MEMOS = (_SPAN_CACHE, _SPAN_BOOL, _RAY_SETS)
+_DIRECTIONS = {}
+_REDUCED = {}
+_MEMOS = (_SPAN_CACHE, _SPAN_BOOL, _RAY_SETS, _DIRECTIONS, _REDUCED)
 
 
 def _remember(memo, key, value):
@@ -156,6 +175,8 @@ def _remember(memo, key, value):
 
 
 def clear_span_cache():
+    """Empty every process-wide memo in _MEMOS, not only the span answers:
+    also the integer rays, generic directions and reductions."""
     for memo in _MEMOS:
         memo.clear()
 

@@ -15,7 +15,15 @@ from math import comb
 from operator import mul
 
 from .caratheodory import cone_caratheodory
-from .cones import SpanCertificate, require_spanning, spanning, spans_space
+from .cones import (
+    _DIRECTIONS,
+    _REDUCED,
+    SpanCertificate,
+    _remember,
+    require_spanning,
+    spanning,
+    spans_space,
+)
 from .errors import DimensionMismatch, RecursionInvariantViolation
 from .ratlin import _null_basis, integer_line, integer_ray, neg, rank
 
@@ -84,6 +92,10 @@ def generic_direction(points):
     t, so the C(L, k) hulls rule out at most (d-1)*C(L, k) values of t and
     some t <= (d-1)*C(L, k) + 1 is accepted.  Passing that bound raises
     RecursionInvariantViolation.
+
+    v depends only on d and the set of lines, so it is memoised in
+    ``cones._DIRECTIONS`` under that key: a colour system's union,
+    ``steinitz_reduce`` and ``refine_below_2d`` on the same points walk once.
     """
     points = list(points)
     if not points:
@@ -92,12 +104,16 @@ def generic_direction(points):
     for p in points:
         if len(p) != d:
             raise DimensionMismatch(f"point of length {len(p)} among points of length {d}")
-    lines = set(map(integer_line, points)) - {None}
+    lines = frozenset(map(integer_line, points)) - {None}
+    key = (d, lines)
+    hit = _DIRECTIONS.get(key)
+    if hit is not None:
+        return hit
     in_some_hull = _hull_test(lines, d)
     for t in range(1, (d - 1) * comb(len(lines), min(d - 1, len(lines))) + 2):
         v = tuple(t**i for i in range(d))
         if not in_some_hull(v):
-            return tuple(map(Fraction, v))
+            return _remember(_DIRECTIONS, key, tuple(map(Fraction, v)))
     raise RecursionInvariantViolation("moment-curve walk passed its bound")
 
 
@@ -113,8 +129,16 @@ class BasisCaseWitness:
 
 
 def steinitz_reduce(points) -> ReducedSet:
-    """Spanning subset of size <= 2d, via two one-sided reductions."""
-    points = [tuple(p) for p in points]
+    """Spanning subset of size <= 2d, via two one-sided reductions.
+
+    The indices and the certificate refer to the exact input tuple, so the
+    result is memoised in ``cones._REDUCED`` under that tuple (like
+    ``spans_space``): a reordered input is reduced afresh.
+    """
+    points = tuple(tuple(p) for p in points)
+    hit = _REDUCED.get(points)
+    if hit is not None:
+        return hit
     require_spanning(points)
     v = generic_direction(points)
     idx_pos, _ = cone_caratheodory(v, points)
@@ -124,7 +148,7 @@ def steinitz_reduce(points) -> ReducedSet:
     cert = spans_space(chosen)
     if not isinstance(cert, SpanCertificate):  # pragma: no cover
         raise RecursionInvariantViolation("two-sided reduction failed to span")
-    return ReducedSet(indices, cert)
+    return _remember(_REDUCED, points, ReducedSet(indices, cert))
 
 
 def _distinct_rays(points):
@@ -164,8 +188,10 @@ def basis_case(points):
 def refine_below_2d(points):
     """Either a spanning subset with <= 2d-1 points or a BasisCaseWitness.
 
-    Search runs over distinct rays, smallest subset sizes first (d+1 up to
-    2d-1), in lexicographic index order, so the result is deterministic.
+    Starts from ``steinitz_reduce(points)``, which a caller that reduced
+    the same tuple gets from its memo.  Search runs over distinct rays,
+    smallest subset sizes first (d+1 up to 2d-1), in lexicographic index
+    order, so the result is deterministic.
     """
     points = [tuple(p) for p in points]
     reduced = steinitz_reduce(points)

@@ -113,6 +113,7 @@ class TestColorfulConeCaratheodory:
         def no_lp(*args):
             raise AssertionError("the pivot made an LP")
 
+        clear_span_cache()
         monkeypatch.setattr(caratheodory, "pos_membership", no_lp)
         monkeypatch.setattr(cones, "lp_feasibility", no_lp)
         sets = [simplex(2), [P(2, 0), P(0, 3), P(-1, -1), P(1, 1)]]

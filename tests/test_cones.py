@@ -49,7 +49,7 @@ from colorsteinitz.ratlin import (
     sub,
     zero_point,
 )
-from colorsteinitz.steinitz import refine_below_2d, steinitz_reduce
+from colorsteinitz.steinitz import generic_direction, refine_below_2d, steinitz_reduce
 
 from conftest import pt as P, simplex, units
 
@@ -489,10 +489,14 @@ class TestSpanningDecision:
 
 
 def _memo_answers(after_each=lambda: None):
-    """spanning, spans_space and integer_rays on a slice of the decision inputs."""
+    """spanning, spans_space and integer_rays on a slice of the decision
+    inputs, and generic_direction and steinitz_reduce on those that span."""
     answers = []
     for pts in _decision_inputs()[::3]:
-        answers.append((spanning(pts), spans_space(pts), integer_rays(pts)))
+        decided = spanning(pts)
+        answers.append((decided, spans_space(pts), integer_rays(pts)))
+        if decided:
+            answers.append((generic_direction(pts), steinitz_reduce(pts)))
         after_each()
     return answers
 
@@ -562,6 +566,7 @@ class TestDisagreementGuard:
 
     @pytest.fixture
     def lying_memo(self, monkeypatch):
+        clear_span_cache()  # so that no memoised reduction skips the check
         monkeypatch.setitem(cones._SPAN_BOOL, frozenset(simplex(2)), False)
 
     def test_check_spanning(self, lying_memo):

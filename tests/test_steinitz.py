@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorsteinitz import steinitz
-from colorsteinitz.cones import SpanCertificate, spanning
+from colorsteinitz import cones, steinitz
+from colorsteinitz.certio import render_span
+from colorsteinitz.checkcert import CheckFailure, check_text
+from colorsteinitz.colorful import colorful_transversal
+from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning
 from colorsteinitz.errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation
 from colorsteinitz.oracle import generate_random
 from colorsteinitz.ratlin import in_linear_hull, integer_line, null_space, rank
@@ -63,9 +66,23 @@ class TestGenericDirection:
 
     def test_walk_bound_is_enforced(self, monkeypatch):
         # a hull test that puts every v(t) in some hull: the walk must stop
+        clear_span_cache()  # a memoised direction would skip the walk
         monkeypatch.setattr(steinitz, "_hull_test", lambda lines, d: lambda v: True)
         with pytest.raises(RecursionInvariantViolation):
             generic_direction(units(3))
+
+    def test_memo_hit_returns_the_cold_direction(self):
+        union = [p for s in generate_random(3, seed=0).sets for p in s]
+        clear_span_cache()
+        cold = generic_direction(union)
+        key = (3, frozenset(map(integer_line, union)) - {None})
+        assert cones._DIRECTIONS == {key: cold}
+        assert generic_direction(list(reversed(union))) == cold
+        assert generic_direction([tuple(2 * x for x in p) for p in union]) == cold
+        assert len(cones._DIRECTIONS) == 1
+        # all-zero inputs have no lines: only d tells their keys apart
+        assert generic_direction([P(0, 0)]) == P(1, 1)
+        assert generic_direction([P(0, 0, 0)]) == P(1, 1, 1)
 
     def test_rank_deficient_hull(self):
         # three distinct lines spanning only a plane that contains v(1)
@@ -80,6 +97,7 @@ class TestGenericDirection:
         assert {len(pts[0]) for _, pts in cases} == {1, 2, 3, 4}
         assert len(cases) >= 300
         for kind, pts in cases:
+            clear_span_cache()  # test the walk, not the memo
             v = generic_direction(pts)
             assert v == _subset_walk(pts), (kind, pts)
             assert all(type(x) is Fraction for x in v)
@@ -93,6 +111,7 @@ class TestGenericDirection:
         assert len(cases) >= 3000
         stepped = set()
         for kind, pts in cases:
+            clear_span_cache()  # test the walk, not the memo
             v = generic_direction(pts)
             assert v == reference_generic_direction(pts), (kind, pts)
             if v[1:] and v[1] > 1:
@@ -113,12 +132,17 @@ class TestGenericDirection:
     def test_invariant_under_line_preserving_changes(self, rows, rng, factor):
         pts = [P(*r) for r in rows]
         d = len(pts[0])
+        clear_span_cache()
         v = generic_direction(pts)
-        shuffled = rng.sample(pts, len(pts))
-        assert generic_direction(shuffled) == v
-        assert generic_direction([tuple(factor * x for x in p) for p in pts]) == v
-        assert generic_direction(pts + [rng.choice(pts)]) == v
-        assert generic_direction(pts[:1] + [(Fraction(0),) * d] + pts[1:]) == v
+        changed = [
+            rng.sample(pts, len(pts)),
+            [tuple(factor * x for x in p) for p in pts],
+            pts + [rng.choice(pts)],
+            pts[:1] + [(Fraction(0),) * d] + pts[1:],
+        ]
+        for other in changed:
+            clear_span_cache()  # all share v's memo key: walk each afresh
+            assert generic_direction(other) == v
         # off every hull of min(d-1, n) points: adding v raises the rank
         for s in combinations(pts, min(d - 1, len(pts))):
             assert rank(list(s) + [v]) == rank(list(s)) + 1
@@ -363,3 +387,54 @@ class TestRefineBelow2d:
             else:
                 assert len(res.indices) <= 3
                 assert brute_has_small
+
+
+class TestUnionMemos:
+    """A colour system's union is walked and reduced once, and a memo hit is
+    the answer a cold call gives."""
+
+    @staticmethod
+    def _system_and_union():
+        system = generate_random(3, seed=0)
+        return system, [p for s in system.sets for p in s]
+
+    def test_one_walk_and_two_lps_per_union(self, monkeypatch):
+        system, union = self._system_and_union()
+        calls = {"_hull_test": 0, "cone_caratheodory": 0}
+
+        def counting(name):
+            real = getattr(steinitz, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        clear_span_cache()
+        for name in calls:
+            monkeypatch.setattr(steinitz, name, counting(name))
+        warm = [colorful_transversal(system), steinitz_reduce(union), refine_below_2d(union)]
+        assert calls == {"_hull_test": 1, "cone_caratheodory": 2}
+        cold = []
+        for run in (
+            lambda: colorful_transversal(system),
+            lambda: steinitz_reduce(union),
+            lambda: refine_below_2d(union),
+        ):
+            clear_span_cache()
+            cold.append(run())
+        assert warm == cold
+
+    def test_a_reordered_input_is_reduced_afresh(self):
+        _, union = self._system_and_union()
+        clear_span_cache()
+        forward = steinitz_reduce(union)
+        backward = list(reversed(union))
+        res = steinitz_reduce(backward)
+        assert check_text(render_span(res.certificate, [backward[i] for i in res.indices])) == [
+            "span"
+        ]
+        # the forward answer would not do: its indices name other points
+        with pytest.raises(CheckFailure):
+            check_text(render_span(forward.certificate, [backward[i] for i in forward.indices]))
