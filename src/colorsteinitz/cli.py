@@ -19,7 +19,7 @@ from .colorful import (
     classify,
     colorful_transversal,
 )
-from .cones import refute_spanning, spanning
+from .cones import DEFAULT_BUDGET, refute_spanning, spanning
 from .errors import BudgetExceeded, GeometryError, NotSpanning, ParseError
 from .instancefile import InstanceFile, emit_instance, parse_instance
 from .oracle import (
@@ -258,13 +258,14 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--cert", default=None)
 
+    budget_help = "most spanning checks to make (default %(default)s)"
     p = add("count", cmd_count, help="number of spanning full transversals")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
 
     p = add("minsize", cmd_minsize, help="smallest spanning partial transversal size")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
 
     p = add("generate", cmd_generate, help="write a generated instance file")
     p.add_argument("kind", choices=["bcase", "pcase", "random"])

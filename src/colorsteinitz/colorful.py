@@ -14,10 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
 
 from .caratheodory import colorful_cone_caratheodory
-from .cones import SpanCertificate, integer_rays, require_spanning, spanning, spans_space
+from .cones import (
+    SpanCertificate,
+    integer_rays,
+    require_spanning,
+    spanning,
+    spanning_picks,
+    spans_space,
+)
 from .errors import (
     DimensionMismatch,
     RecursionInvariantViolation,
@@ -75,19 +81,14 @@ class Transversal:
     def __post_init__(self):
         picks = tuple(tuple(p) for p in self.picks)
         object.__setattr__(self, "picks", picks)
-        colours = [c for c, _ in picks]
-        if len(set(colours)) != len(colours):
-            raise ValueError("transversal uses a colour twice")
+        if any(a[0] >= b[0] for a, b in zip(picks, picks[1:])):
+            raise ValueError("transversal colours must be strictly increasing")
 
     def points(self, system: ColourSystem):
         return tuple(system.sets[c][e] for c, e in self.picks)
 
     def size(self) -> int:
         return len(self.picks)
-
-
-def _make_transversal(picks) -> Transversal:
-    return Transversal(tuple(sorted(picks)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def _pivoted_transversal(system: ColourSystem):
     first = colorful_cone_caratheodory(v, [system.sets[i] for i in range(d)])
     second = colorful_cone_caratheodory(neg(v), [system.sets[d + i] for i in range(d)])
     picks = list(first.picks) + [(d + c, e) for c, e in second.picks]
-    tv = _make_transversal(picks)
+    tv = Transversal(picks)
     cert = spans_space(tv.points(system))
     if not isinstance(cert, SpanCertificate):  # pragma: no cover
         raise RecursionInvariantViolation("two-sided colorful pivot failed to span")
@@ -206,23 +207,19 @@ def find_small_transversal(system: ColourSystem):
     """Neither with the first spanning partial transversal of <= 2d-1 picks,
     or None when there is none.
 
-    Checks that every colour spans, then scans sizes d+1..2d-1 (fewer than
-    d+1 points never span), colour subsets and element choices in
-    lexicographic order, so the witness has the smallest possible size.  By
-    the colourful Steinitz characterisation the scan finds nothing exactly on
-    BCase and PCase.
+    Checks that every colour spans, then takes the first pick of
+    ``cones.spanning_picks`` of sizes d+1..2d-1 (fewer than d+1 points never
+    span), a smallest one, or raises BudgetExceeded past its default budget.
+    By the colourful Steinitz characterisation the scan finds nothing
+    exactly on BCase and PCase.
     """
     system.check_spanning()
     d = system.dim
-    rays = system.rays
-    for k in range(d + 1, 2 * d):
-        for colours in combinations(range(2 * d), k):
-            ranges = [range(len(rays[c])) for c in colours]
-            for assignment in product(*ranges):
-                if spanning(tuple(rays[c][e] for c, e in zip(colours, assignment))):
-                    tv = _make_transversal(zip(colours, assignment))
-                    return Neither(tv, spans_space(tv.points(system)))
-    return None
+    pick = next(spanning_picks(system.rays, range(d + 1, 2 * d)), None)
+    if pick is None:
+        return None
+    tv = Transversal(tuple(zip(*pick)))
+    return Neither(tv, spans_space(tv.points(system)))
 
 
 def classify(system: ColourSystem):
@@ -230,7 +227,7 @@ def classify(system: ColourSystem):
 
     Each structural test implies that every colour spans, so only the scan
     runs check_spanning; a system that is not spanning fails both tests and
-    gets NotSpanning from it.
+    gets NotSpanning from it, or BudgetExceeded on a scan that is too long.
     """
     res = structural_bcase(system) or structural_pcase(system) or find_small_transversal(system)
     if res is None:

@@ -10,9 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from .errors import DimensionMismatch, NotSpanning, RecursionInvariantViolation, ZeroPoint
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    NotSpanning,
+    RecursionInvariantViolation,
+    ZeroPoint,
+)
 from .ratlin import (
     Feasible,
     Point,
@@ -306,6 +312,28 @@ def spanning(generators) -> bool:
                 hit = is_zero(total) or isinstance(lp_feasibility(points, neg(total)), Feasible)
         _remember(_SPAN_BOOL, key, hit)
     return hit
+
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def spanning_picks(groups, sizes, budget=DEFAULT_BUDGET):
+    """Yield (group indices, element indices) for every pick of one element
+    from each of k groups that spans: k over ``sizes``, then the groups'
+    combinations and the element choices in lexicographic order.  The
+    package's one exhaustive spanning search.  Each spanning() check counts
+    against ``budget``; the one past it raises BudgetExceeded instead.
+    """
+    used = 0
+    for k in sizes:
+        for chosen in combinations(range(len(groups)), k):
+            members = [groups[g] for g in chosen]
+            for elements in product(*(range(len(m)) for m in members)):
+                used += 1
+                if used > budget:
+                    raise BudgetExceeded(f"scan budget of {budget} spanning checks exceeded")
+                if spanning(tuple(m[e] for m, e in zip(members, elements))):
+                    yield chosen, elements
 
 
 def refute_spanning(generators) -> FarkasWitness:

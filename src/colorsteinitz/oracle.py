@@ -1,9 +1,11 @@
 """Brute-force ground truth and instance generators.
 
-Exhaustive enumeration over (partial) transversals is the independent oracle
-against which the constructive machinery is validated: spanning counts,
-minimum spanning partial-transversal size, and seeded generators for the two
-structural families and for random spanning systems.
+Exhaustive counts and minima over (partial) transversals and subsets, and
+seeded generators for the two structural families and for random spanning
+systems.  The enumeration shares ``cones.spanning_picks`` with classify's
+witness scan; the references independent of that scan are test-local:
+``_first_spanning_partial`` (certified by the ``spans_space`` LP) and
+``reference_spanning`` (rank and LP only).
 """
 
 from __future__ import annotations
@@ -11,15 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from math import prod
 from operator import mul
 
 from .colorful import ColourSystem, Transversal, structural_bcase, structural_pcase
-from .cones import spanning
+from .cones import DEFAULT_BUDGET, spanning, spanning_picks
 from .errors import BudgetExceeded, RecursionInvariantViolation
 from .ratlin import Point, integer_ray, unit
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -30,37 +30,18 @@ class EnumerationReport:
     witness: object  # smallest spanning partial Transversal, if any
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceeded(f"enumeration budget of {self.limit} checks exceeded")
-
-
-# cones.spanning decides by a coordinate-sign test, the Gale vectors of at
-# most d+2 points, or one rank test and at most one LP, and memoises on the
-# generator set process-wide; the scans here ask it about a system's integer rays, so
-# permuted transversals, rescaled points and repeated systems share work
+# No caller; kept only as perfbench/test_perfbench.py asserts that its tracer
+# replaces this alias too.  It goes when library counters replace the tracer.
 _spanning = spanning
-
-
-def _full_transversal_count(system: ColourSystem) -> int:
-    return sum(1 for rays in product(*system.rays) if _spanning(rays))
 
 
 def count_spanning_transversals(system: ColourSystem, budget=DEFAULT_BUDGET) -> int:
     """Exact number of full transversals whose positive hull is everything."""
     system.check_spanning()
-    total = 1
-    for s in system.sets:
-        total *= len(s)
+    total = prod(map(len, system.sets))
     if total > budget:
         raise BudgetExceeded(f"{total} full transversals exceed budget {budget}")
-    return _full_transversal_count(system)
+    return sum(1 for _ in spanning_picks(system.rays, (2 * system.dim,), budget))
 
 
 def min_spanning_partial_size(system: ColourSystem, budget=DEFAULT_BUDGET) -> int:
@@ -72,34 +53,20 @@ def min_spanning_partial_size(system: ColourSystem, budget=DEFAULT_BUDGET) -> in
 
 
 def enumerate_report(system: ColourSystem, budget=DEFAULT_BUDGET, count_full=True):
+    """EnumerationReport: the number of full transversals, how many of them
+    span (None unless ``count_full``), the least k for which a k-transversal
+    spans and the first such Transversal in ``cones.spanning_picks`` order
+    (both None if none spans).  The scan for k and the count each stay
+    within ``budget`` spanning() checks, as the ``minsize`` and ``count``
+    commands do alone, or raise BudgetExceeded.
+    """
     system.check_spanning()
     d = system.dim
-    bud = _Budget(budget)
-
-    rays = system.rays
-    min_size = None
-    witness = None
-    # a spanning set needs at least d+1 generators, so smaller k cannot work
-    for k in range(d + 1, 2 * d + 1):
-        for colours in combinations(range(2 * d), k):
-            for assignment in product(*(range(len(rays[c])) for c in colours)):
-                bud.spend()
-                if _spanning(tuple(rays[c][e] for c, e in zip(colours, assignment))):
-                    min_size = k
-                    witness = Transversal(tuple(zip(colours, assignment)))
-                    break
-            if min_size is not None:
-                break
-        if min_size is not None:
-            break
-
-    total = 1
-    for s in system.sets:
-        total *= len(s)
-    spanning_full = None
-    if count_full:
-        bud.spend(total)
-        spanning_full = _full_transversal_count(system)
+    pick = next(spanning_picks(system.rays, range(d + 1, 2 * d + 1), budget), None)
+    witness = None if pick is None else Transversal(tuple(zip(*pick)))
+    min_size = None if witness is None else witness.size()
+    total = prod(map(len, system.sets))
+    spanning_full = count_spanning_transversals(system, budget) if count_full else None
     return EnumerationReport(total, spanning_full, min_size, witness)
 
 
@@ -109,13 +76,9 @@ def min_spanning_subset_size(points, budget=DEFAULT_BUDGET):
     if not points:
         raise ValueError("point list must be nonempty")
     d = len(points[0])
-    bud = _Budget(budget)
-    for k in range(d + 1, len(points) + 1):
-        for combo in combinations(range(len(points)), k):
-            bud.spend()
-            if _spanning(tuple(points[i] for i in combo)):
-                return k
-    return None
+    groups = [(p,) for p in points]
+    pick = next(spanning_picks(groups, range(d + 1, len(points) + 1), budget), None)
+    return None if pick is None else len(pick[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .cones import (
     SpanCertificate,
     _remember,
     require_spanning,
-    spanning,
+    spanning_picks,
     spans_space,
 )
 from .errors import DimensionMismatch, RecursionInvariantViolation
@@ -189,9 +189,10 @@ def refine_below_2d(points):
     """Either a spanning subset with <= 2d-1 points or a BasisCaseWitness.
 
     Starts from ``steinitz_reduce(points)``, which a caller that reduced
-    the same tuple gets from its memo.  Search runs over distinct rays,
-    smallest subset sizes first (d+1 up to 2d-1), in lexicographic index
-    order, so the result is deterministic.
+    the same tuple gets from its memo.  Else, past the basis case, returns
+    the first subset of the distinct rays (sizes d+1 to 2d-1, by first
+    occurrence) that ``cones.spanning_picks`` yields, so the result is
+    deterministic, or raises BudgetExceeded past its default budget.
     """
     points = [tuple(p) for p in points]
     reduced = steinitz_reduce(points)
@@ -204,11 +205,10 @@ def refine_below_2d(points):
         return BasisCaseWitness(basis)
 
     rays = list(_distinct_rays(points).items())
-    for size in range(d + 1, 2 * d):
-        for combo in combinations(rays, size):
-            if spanning(tuple(r for r, _ in combo)):
-                indices = tuple(i for _, i in combo)
-                return ReducedSet(indices, spans_space(tuple(points[i] for i in indices)))
+    pick = next(spanning_picks([(r,) for r, _ in rays], range(d + 1, 2 * d)), None)
+    if pick is not None:
+        indices = tuple(rays[j][1] for j in pick[0])
+        return ReducedSet(indices, spans_space(tuple(points[i] for i in indices)))
     raise RecursionInvariantViolation(
         "no small spanning subset although the input is not a plus-minus basis"
     )  # pragma: no cover

@@ -117,6 +117,10 @@ class TestTransversal:
         with pytest.raises(ValueError):
             Transversal(((0, 0), (0, 1)))
 
+    def test_unsorted_colours_rejected(self):
+        with pytest.raises(ValueError):
+            Transversal(((2, 0), (0, 1)))
+
     def test_points_lookup(self):
         tv = Transversal(((0, 1), (2, 0)))
         assert tv.points(bcase2()) == (P(-1, 0), P(1, 0))

@@ -25,9 +25,11 @@ from colorsteinitz.cones import (
     pos_membership,
     refute_spanning,
     spanning,
+    spanning_picks,
     spans_space,
 )
 from colorsteinitz.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     RecursionInvariantViolation,
     ZeroPoint,
@@ -486,6 +488,66 @@ class TestSpanningDecision:
     def test_refute_spanning_rejects_a_spanning_set(self):
         with pytest.raises(RecursionInvariantViolation):
             refute_spanning(simplex(2))
+
+
+def _reference_picks(groups, sizes):
+    """spanning_picks' answer by plain itertools, decided by reference_spanning."""
+    picks = []
+    for k in sizes:
+        for chosen in combinations(range(len(groups)), k):
+            for elements in product(*(range(len(groups[g])) for g in chosen)):
+                if reference_spanning([groups[g][e] for g, e in zip(chosen, elements)]):
+                    picks.append((chosen, elements))
+    return picks
+
+
+def _random_groups(rng, d):
+    """2 to 4 groups of 1 to 3 nonzero points of [-2, 2]^d, with repeats
+    across groups."""
+    groups = []
+    for _ in range(rng.randint(2, 4)):
+        group = []
+        while len(group) < rng.randint(1, 3):
+            p = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(p):
+                group.append(p)
+        groups.append(tuple(group))
+    return groups
+
+
+class TestSpanningPicks:
+    def test_matches_itertools_reference(self):
+        rng = random.Random(8)
+        found = checked = 0
+        for d in (2, 3):
+            for _ in range(40):
+                groups = _random_groups(rng, d)
+                sizes = range(d + 1, len(groups) + 1)
+                if rng.random() < 0.3:
+                    sizes = range(1, len(groups) + 1)
+                want = _reference_picks(groups, sizes)
+                assert list(spanning_picks(groups, sizes)) == want, groups
+                found += len(want)
+                checked += sum(len(list(product(*c))) for k in sizes for c in combinations(groups, k))
+        assert 50 <= found <= checked - 50
+
+    def test_budget_counts_checks_up_to_the_first_hit(self):
+        # the four 3-subsets of +-e1, +-e2 fail, then the 4-subset spans
+        groups = [(p,) for p in units(2)]
+        assert next(spanning_picks(groups, (3, 4), budget=5)) == ((0, 1, 2, 3), (0, 0, 0, 0))
+        with pytest.raises(BudgetExceeded):
+            next(spanning_picks(groups, (3, 4), budget=4))
+
+    def test_budget_counts_every_check_of_a_full_scan(self):
+        groups = [units(2)] * 4
+        assert len(list(spanning_picks(groups, (4,), budget=256))) == 24
+        with pytest.raises(BudgetExceeded):
+            list(spanning_picks(groups, (4,), budget=255))
+
+    def test_empty_sizes_and_oversized_k_check_nothing(self):
+        groups = [units(2)] * 4
+        assert list(spanning_picks(groups, (), budget=0)) == []
+        assert list(spanning_picks(groups, (5, 6), budget=0)) == []
 
 
 def _memo_answers(after_each=lambda: None):

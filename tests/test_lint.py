@@ -1,7 +1,8 @@
 """Static checks on the package source, stdlib only: every import is used,
 every private module-level function or class is referenced somewhere in
-the package, every defaulted parameter is passed somewhere, and the decision
-paths stay free of floats."""
+the package, every defaulted parameter is passed somewhere, the decision
+paths stay free of floats, and only cones.spanning_picks scans candidate
+picks with spanning."""
 
 import ast
 from pathlib import Path
@@ -207,3 +208,65 @@ def test_every_tracer_target_is_defined():
         if tree is None or not _defines(tree.body, qualname.split(".")):
             missing.append(target)
     assert missing == []
+
+
+SCANS = ("combinations", "product")
+SPAN_TESTS = ("spanning", "_spanning")
+# The one exhaustive spanning search, with its budget.
+SCAN_ALLOWED = {("cones.py", "spanning_picks")}
+
+
+def _called_name(node):
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _scan_loops(tree):
+    """The for loops and comprehensions of ``tree`` that iterate over a
+    ``combinations(...)`` or ``product(...)`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            iters = [node.iter]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            iters = [g.iter for g in node.generators]
+        else:
+            continue
+        if any(isinstance(i, ast.Call) and _called_name(i) in SCANS for i in iters):
+            yield node
+
+
+def _spanning_scans(name, tree):
+    """'module:line' of each spanning call inside a scan loop, outside SCAN_ALLOWED."""
+    found = set()
+    for top in tree.body:
+        if (name, getattr(top, "name", None)) in SCAN_ALLOWED:
+            continue
+        for loop in _scan_loops(top):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and _called_name(node) in SPAN_TESTS:
+                    found.add(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_one_exhaustive_spanning_search():
+    """Scans of candidate picks go through cones.spanning_picks, which keeps
+    the scan order and the budget in one place."""
+    found = []
+    for name, tree in _modules().items():
+        found += _spanning_scans(name, tree)
+    assert found == []
+
+
+def test_spanning_scan_guard_sees_loops_and_comprehensions():
+    source = """
+def loop(rays, k):
+    for combo in combinations(rays, k):
+        if spanning(combo):
+            return combo
+
+def comprehension(groups):
+    return sum(1 for rays in product(*groups) if _spanning(rays))
+
+def allowed(points):
+    return [p for p in combinations(points, 2) if p] and spanning(points)
+"""
+    assert _spanning_scans("m.py", ast.parse(source)) == ["m.py:4", "m.py:8"]
