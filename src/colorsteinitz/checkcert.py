@@ -2,22 +2,50 @@
 
 Deliberately self-contained: only the standard library, no imports from the
 rest of the package, so a verified certificate does not depend on the solver
-being correct.  Exit code 0 when every block verifies, 1 otherwise.
+being correct.  It verifies exactly on integers: each point is read as an
+integer vector over one positive denominator, a combination is summed over
+the common denominator of its terms, and values are compared by
+cross-multiplication.  Numbers are accepted in the token syntax of
+``fractions.Fraction`` ("3", "-3/4", "+3", "0.5", "1e3", ...).  Exit code 0
+when every block verifies, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 
 class CheckFailure(Exception):
     pass
 
 
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(token):
+    """(num, den) with den > 0 and num/den == Fraction(token).  A plain ASCII
+    "p" or "p/q" is read with int(); any other token, and a zero q, goes to
+    Fraction, which accepts or rejects it with its own message."""
+    plain = _PLAIN.fullmatch(token)
+    if plain:
+        num, den = plain.groups()
+        num = int(num)
+        den = int(den) if den else 1
+        if den:
+            return num, den
+    value = Fraction(token)
+    return value.numerator, value.denominator
+
+
 def _parse_point(fields):
-    return tuple(Fraction(f) for f in fields)
+    """(int vector, den > 0): the point is vector / den."""
+    values = [_rational(f) for f in fields]
+    den = lcm(*(q for _, q in values))
+    return tuple(p * (den // q) for p, q in values), den
 
 
 def _split_blocks(text):
@@ -45,15 +73,26 @@ def _split_blocks(text):
 
 
 def _combination(coeffs, gens, dim):
-    acc = [Fraction(0)] * dim
-    for idx, value in coeffs:
-        if value < 0:
+    """(int vector, den > 0): the sum of value * generator over coeffs, each
+    term brought to the common denominator den."""
+    for idx, (num, _) in coeffs:
+        if num < 0:
             raise CheckFailure(f"negative coefficient on generator {idx}")
         if idx not in gens:
             raise CheckFailure(f"unknown generator index {idx}")
-        g = gens[idx]
-        acc = [a + value * b for a, b in zip(acc, g)]
-    return tuple(acc)
+    den = lcm(*(q * gens[idx][1] for idx, (_, q) in coeffs))
+    acc = [0] * dim
+    for idx, (num, q) in coeffs:
+        g, g_den = gens[idx]
+        scale = num * (den // (q * g_den))
+        acc = [a + scale * b for a, b in zip(acc, g)]
+    return acc, den
+
+
+def _reproduces(combination, point):
+    """Whether the combination (vector, den) equals point (vector, den)."""
+    (acc, den), (vec, vec_den) = combination, point
+    return all(a * vec_den == x * den for a, x in zip(acc, vec))
 
 
 def check_block(block):
@@ -62,11 +101,11 @@ def check_block(block):
         raise CheckFailure("bad CERT header")
     kind = head[1]
     dim = None
-    gens = {}
+    gens = {}  # idx -> (int vector, den)
     picks = []
     target = None
     witness = None
-    directions = []  # list of (direction, [(idx, coeff), ...])
+    directions = []  # list of ((int vector, den), [(idx, (num, den)), ...])
     loose_coeffs = []
     for lineno, fields in block[1:]:
         tag = fields[0]
@@ -87,7 +126,7 @@ def check_block(block):
             elif tag == "DIR":
                 directions.append((_parse_point(fields[1:]), []))
             elif tag == "COEFF":
-                entry = (int(fields[1]), Fraction(fields[2]))
+                entry = (int(fields[1]), _rational(fields[2]))
                 if directions:
                     directions[-1][1].append(entry)
                 else:
@@ -98,25 +137,27 @@ def check_block(block):
             raise CheckFailure(f"line {lineno}: malformed field ({exc})") from exc
     if dim is None or dim < 1:
         raise CheckFailure("missing DIM")
-    for g in gens.values():
+    for g, _ in gens.values():
         if len(g) != dim:
             raise CheckFailure("generator dimension mismatch")
 
+    # positive denominators: the sign of a dot product of numerators is the
+    # sign of the rational one
     def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
+        return sum(x * y for x, y in zip(a[0], b[0]))
 
     if kind == "conic":
-        if target is None or len(target) != dim:
+        if target is None or len(target[0]) != dim:
             raise CheckFailure("conic certificate needs a TARGET")
         idxs = [i for i, _ in loose_coeffs]
         if len(set(idxs)) != len(idxs):
             raise CheckFailure("duplicate COEFF index")
-        if _combination(loose_coeffs, gens, dim) != target:
+        if not _reproduces(_combination(loose_coeffs, gens, dim), target):
             raise CheckFailure("conic combination does not reproduce the target")
     elif kind == "farkas":
-        if witness is None or len(witness) != dim:
+        if witness is None or len(witness[0]) != dim:
             raise CheckFailure("farkas certificate needs a WITNESS")
-        if all(c == 0 for c in witness):
+        if all(c == 0 for c in witness[0]):
             raise CheckFailure("farkas witness is zero")
         for idx, g in gens.items():
             if dot(witness, g) > 0:
@@ -133,18 +174,18 @@ def check_block(block):
         # the count first, then each DIR against sign * e_axis: linear in the input
         axes = ((sign, axis) for sign in (1, -1) for axis in range(dim))
         if len(directions) != 2 * dim or any(
-            len(g) != dim or any(x != (sign if i == axis else 0) for i, x in enumerate(g))
-            for (sign, axis), (g, _) in zip(axes, directions)
+            len(g) != dim or any(x != (sign * den if i == axis else 0) for i, x in enumerate(g))
+            for (sign, axis), ((g, den), _) in zip(axes, directions)
         ):
             raise CheckFailure("span directions are not +e_1..+e_d, -e_1..-e_d in order")
         for direction, coeffs in directions:
             idxs = [i for i, _ in coeffs]
             if len(set(idxs)) != len(idxs):
                 raise CheckFailure("duplicate COEFF index")
-            if _combination(coeffs, gens, dim) != direction:
-                raise CheckFailure(
-                    f"combination for direction {direction} does not verify"
-                )
+            if not _reproduces(_combination(coeffs, gens, dim), direction):
+                vec, den = direction
+                shown = tuple(Fraction(x, den) for x in vec)
+                raise CheckFailure(f"combination for direction {shown} does not verify")
     return kind
 
 

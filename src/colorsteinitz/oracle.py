@@ -71,13 +71,15 @@ def enumerate_report(system: ColourSystem, budget=DEFAULT_BUDGET, count_full=Tru
 
 
 def min_spanning_subset_size(points, budget=DEFAULT_BUDGET):
-    """Smallest spanning subset of a single point set, or None."""
+    """Smallest spanning subset of a single point set, or None.  The scan
+    runs over the distinct rays: a minimal spanning set never holds two
+    points of one ray."""
     points = [tuple(p) for p in points]
     if not points:
         raise ValueError("point list must be nonempty")
     d = len(points[0])
-    groups = [(p,) for p in points]
-    pick = next(spanning_picks(groups, range(d + 1, len(points) + 1), budget), None)
+    groups = [(ray,) for ray in dict.fromkeys(map(integer_ray, points))]
+    pick = next(spanning_picks(groups, range(d + 1, len(groups) + 1), budget), None)
     return None if pick is None else len(pick[0])
 
 

@@ -2,26 +2,33 @@
 
 The checker deliberately shares no code with the solver; these tests also
 exercise it as a subprocess to confirm independence from the package import.
+The checker works on integers; ``reference_check_text`` below is the same
+checker on ``Fraction``s, and the differential tests hold the two to the
+same verdicts and messages.
 """
 
 import ast
+import functools
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorsteinitz import certio
-from colorsteinitz.checkcert import CheckFailure, check_text
+from colorsteinitz.checkcert import CheckFailure, _rational, _split_blocks, check_text
 from colorsteinitz.colorful import colorful_transversal
 from colorsteinitz.cones import (
     FarkasWitness,
     pos_membership,
     spans_space,
 )
-from colorsteinitz.oracle import generate_bcase, generate_random
+from colorsteinitz.oracle import generate_bcase, generate_pcase, generate_random
 
 from conftest import pt as P, units
 
@@ -77,7 +84,7 @@ class TestTamperDetection:
         gens = [P(1, 0)]
         cert = pos_membership(P(2, 0), gens)
         text = certio.render_conic(cert, gens).replace("COEFF 0 2", "COEFF 0 -2")
-        with pytest.raises(CheckFailure):
+        with pytest.raises(CheckFailure, match="negative coefficient on generator 0"):
             check_text(text)
 
     def test_reordered_directions(self):
@@ -231,3 +238,259 @@ class TestCheckerIndependence:
                 if name.startswith(".") or name.split(".")[0] == "colorsteinitz":
                     offending.append((node.lineno, name))
         assert offending == []
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference checker
+
+
+def _reference_point(fields):
+    return tuple(Fraction(f) for f in fields)
+
+
+def _reference_combination(coeffs, gens, dim):
+    acc = [Fraction(0)] * dim
+    for idx, value in coeffs:
+        if value < 0:
+            raise CheckFailure(f"negative coefficient on generator {idx}")
+        if idx not in gens:
+            raise CheckFailure(f"unknown generator index {idx}")
+        g = gens[idx]
+        acc = [a + value * b for a, b in zip(acc, g)]
+    return tuple(acc)
+
+
+def reference_check_block(block):
+    """checkcert.check_block as it was on Fractions: every token a Fraction,
+    every combination a sum of Fraction products."""
+    (_, head) = block[0]
+    if len(head) != 2 or head[1] not in ("conic", "farkas", "span", "transversal"):
+        raise CheckFailure("bad CERT header")
+    kind = head[1]
+    dim = None
+    gens = {}
+    picks = []
+    target = None
+    witness = None
+    directions = []  # list of (direction, [(idx, coeff), ...])
+    loose_coeffs = []
+    for lineno, fields in block[1:]:
+        tag = fields[0]
+        try:
+            if tag == "DIM":
+                dim = int(fields[1])
+            elif tag == "GEN":
+                idx = int(fields[1])
+                if idx in gens:
+                    raise CheckFailure(f"line {lineno}: duplicate generator {idx}")
+                gens[idx] = _reference_point(fields[2:])
+            elif tag == "PICK":
+                picks.append((int(fields[1]), int(fields[2])))
+            elif tag == "TARGET":
+                target = _reference_point(fields[1:])
+            elif tag == "WITNESS":
+                witness = _reference_point(fields[1:])
+            elif tag == "DIR":
+                directions.append((_reference_point(fields[1:]), []))
+            elif tag == "COEFF":
+                entry = (int(fields[1]), Fraction(fields[2]))
+                if directions:
+                    directions[-1][1].append(entry)
+                else:
+                    loose_coeffs.append(entry)
+            else:
+                raise CheckFailure(f"line {lineno}: unknown tag {tag}")
+        except (ValueError, ZeroDivisionError, IndexError) as exc:
+            raise CheckFailure(f"line {lineno}: malformed field ({exc})") from exc
+    if dim is None or dim < 1:
+        raise CheckFailure("missing DIM")
+    for g in gens.values():
+        if len(g) != dim:
+            raise CheckFailure("generator dimension mismatch")
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    if kind == "conic":
+        if target is None or len(target) != dim:
+            raise CheckFailure("conic certificate needs a TARGET")
+        idxs = [i for i, _ in loose_coeffs]
+        if len(set(idxs)) != len(idxs):
+            raise CheckFailure("duplicate COEFF index")
+        if _reference_combination(loose_coeffs, gens, dim) != target:
+            raise CheckFailure("conic combination does not reproduce the target")
+    elif kind == "farkas":
+        if witness is None or len(witness) != dim:
+            raise CheckFailure("farkas certificate needs a WITNESS")
+        if all(c == 0 for c in witness):
+            raise CheckFailure("farkas witness is zero")
+        for idx, g in gens.items():
+            if dot(witness, g) > 0:
+                raise CheckFailure(f"witness fails <w, gen {idx}> <= 0")
+        if target is not None and dot(witness, target) <= 0:
+            raise CheckFailure("witness fails <w, target> > 0")
+    else:  # span / transversal
+        if kind == "transversal":
+            colours = [c for c, _ in picks]
+            if len(set(colours)) != len(colours):
+                raise CheckFailure("transversal picks a colour twice")
+            if len(picks) != len(gens):
+                raise CheckFailure("pick count and generator count differ")
+        axes = ((sign, axis) for sign in (1, -1) for axis in range(dim))
+        if len(directions) != 2 * dim or any(
+            len(g) != dim or any(x != (sign if i == axis else 0) for i, x in enumerate(g))
+            for (sign, axis), (g, _) in zip(axes, directions)
+        ):
+            raise CheckFailure("span directions are not +e_1..+e_d, -e_1..-e_d in order")
+        for direction, coeffs in directions:
+            idxs = [i for i, _ in coeffs]
+            if len(set(idxs)) != len(idxs):
+                raise CheckFailure("duplicate COEFF index")
+            if _reference_combination(coeffs, gens, dim) != direction:
+                raise CheckFailure(
+                    f"combination for direction {direction} does not verify"
+                )
+    return kind
+
+
+def reference_check_text(text):
+    """checkcert.check_text over reference_check_block; the blocks are split
+    by the checker's own _split_blocks, which does no arithmetic."""
+    kinds = [reference_check_block(block) for block in _split_blocks(text)]
+    if not kinds:
+        raise CheckFailure("no certificates found")
+    return kinds
+
+
+def _outcome(check, text):
+    """The kinds list, or the type and message of what the check raised."""
+    try:
+        return check(text)
+    except Exception as exc:  # the message is part of the verdict
+        return type(exc), str(exc)
+
+
+def _rescaled(points):
+    """Point i times 1/(i+2): the same rays, with denominators in the text."""
+    return tuple(tuple(x * Fraction(1, i + 2) for x in p) for i, p in enumerate(points))
+
+
+@functools.cache
+def _corpus():
+    """Rendered span, transversal, conic and farkas certificates of the
+    three generated families at d = 2..4, with and without denominators."""
+    texts = []
+    for d in (2, 3, 4):
+        for system in (
+            generate_random(d, seed=0),
+            generate_bcase(d, transform_seed=1),
+            generate_pcase(d, transform_seed=2),
+        ):
+            tv, cert = colorful_transversal(system)
+            texts.append(certio.render_transversal(tv.picks, cert, tv.points(system)))
+            for gens in (system.sets[0], _rescaled(system.sets[1])):
+                texts.append(certio.render_span(spans_space(gens), gens))
+                target = tuple(a + b / 3 for a, b in zip(gens[0], gens[1]))
+                texts.append(certio.render_conic(pos_membership(target, gens), gens))
+                refuted = spans_space(gens[:d])  # d points never span
+                assert isinstance(refuted, FarkasWitness)
+                texts.append(certio.render_farkas(refuted, gens[:d]))
+                texts.append(certio.render_farkas(FarkasWitness(refuted.w), gens[:d]))
+    return tuple(texts)
+
+
+TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.fractions(-3, 3, max_denominator=6).map(str),
+    st.sampled_from(["2/2", "03/6", "-0/5", "+1", "0.5", "1e0", "-0", "3/0", "1/-2", "x", "٣"]),
+)
+
+
+def _tamper(data, text):
+    """One tamper of text: change a COEFF value, flip a sign, drop or
+    duplicate a line, or change a DIR entry."""
+    lines = text.splitlines()
+    ops = ["sign", "drop", "duplicate"]
+    ops += [op for op in ("coeff", "dir") if f"\n{op.upper()} " in text]
+    op = data.draw(st.sampled_from(ops))
+    if op in ("coeff", "dir"):
+        tag = "COEFF" if op == "coeff" else "DIR"
+        i = data.draw(st.sampled_from([i for i, l in enumerate(lines) if l.startswith(tag)]))
+        fields = lines[i].split()
+        j = 2 if op == "coeff" else data.draw(st.integers(1, len(fields) - 1))
+        fields[j] = data.draw(TOKENS)
+        lines[i] = " ".join(fields)
+    else:
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split()
+            if len(fields) > 1:
+                j = data.draw(st.integers(1, len(fields) - 1))
+                token = fields[j]
+                fields[j] = token[1:] if token.startswith("-") else "-" + token
+                lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstFractionReference:
+    def test_corpus_covers_every_kind_and_verifies(self):
+        kinds = set()
+        for text in _corpus():
+            kinds.update(check_text(text))
+            assert check_text(text) == reference_check_text(text)
+        assert kinds == {"span", "transversal", "conic", "farkas"}
+        assert any("/" in text.split("GEN", 1)[1] for text in _corpus())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_tampered_certificates_get_the_same_verdict(self, data):
+        text = _tamper(data, data.draw(st.sampled_from(_corpus())))
+        assert _outcome(check_text, text) == _outcome(reference_check_text, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SPAN_1D.replace("DIR 1\n", "DIR 2/2\n"),
+            SPAN_1D.replace("GEN 0 1\n", "GEN 0 1/3\n").replace("COEFF 0 1\n", "COEFF 0 3\n"),
+            SPAN_1D.replace("GEN 0 1\n", "GEN 0 1/3\n"),
+            SPAN_1D.replace("COEFF 1 1\n", "COEFF 1 2\n"),
+            "CERT farkas\nDIM 2\nGEN 0 -1/2 0\nTARGET 1/3 -5\nWITNESS 1/7 0\nEND\n",
+            "CERT farkas\nDIM 2\nGEN 0 1/2 0\nWITNESS 1/7 0\nEND\n",
+            "CERT conic\nDIM 2\nGEN 0 1/2 0\nGEN 1 0 3\nTARGET 1 1\nCOEFF 0 2\nCOEFF 1 1/3\nEND\n",
+        ],
+    )
+    def test_denominators_get_the_same_verdict(self, text):
+        assert _outcome(check_text, text) == _outcome(reference_check_text, text)
+
+
+GRAMMAR = [
+    "3", "-3", "+3", "-0", "03/4", "-3/4", "3/-4", "3/0", "0.5", "1e3", "1_000",
+    "٣", "", "/4", "3/", "--3", "-",
+]
+
+
+class TestTokenGrammar:
+    @pytest.mark.parametrize("token", GRAMMAR)
+    def test_parse_helper_matches_fraction(self, token):
+        try:
+            expected = Fraction(token)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                _rational(token)
+            assert str(raised.value) == str(exc)
+        else:
+            num, den = _rational(token)
+            assert den > 0 and Fraction(num, den) == expected
+
+    def test_decimal_coefficients_verify(self):
+        text = SPAN_1D.replace("GEN 0 1\n", "GEN 0 2\n").replace("COEFF 0 1\n", "COEFF 0 0.5\n")
+        assert check_text(text) == ["span"]
+
+    def test_zero_denominator_coefficient_is_malformed(self):
+        text = SPAN_1D.replace("COEFF 0 1\n", "COEFF 0 1/0\n")
+        with pytest.raises(CheckFailure, match=re.escape("line 6: malformed field (Fraction(1, 0))")):
+            check_text(text)

@@ -135,6 +135,7 @@ INT_KERNELS = {
     ),
     "cones.py": ("nearest_cone_point", "spanning", "_gale_half_plane"),
     "steinitz.py": ("generic_direction", "_hull_test"),
+    "checkcert.py": ("_rational", "_parse_point", "_combination", "_reproduces", "check_block"),
 }
 # Floats are drawn only: the SVG of the `plot` command.
 FLOAT_ALLOWED = {("cli.py", "_render_svg")}

@@ -71,6 +71,11 @@ class TestMinSize:
             min_spanning_subset_size(units(2), budget=3)
         assert min_spanning_subset_size(units(2), budget=5) == 4
 
+    def test_min_spanning_subset_size_scans_distinct_rays(self):
+        # three copies, one of them rescaled, scan like one: 5 checks
+        points = list(units(2)) * 2 + [tuple(2 * x for x in p) for p in units(2)]
+        assert min_spanning_subset_size(points, budget=5) == 4
+
     def test_min_spanning_subset_size_rejects_empty_input(self):
         with pytest.raises(ValueError):
             min_spanning_subset_size([])
