@@ -112,19 +112,27 @@ def _check_dims(points, d):
             raise DimensionMismatch(f"expected dimension {d}, got {len(p)}")
 
 
-def pos_membership(v: Point, generators):
-    """Decide v in pos(generators); returns ConicCertificate or FarkasWitness."""
+def pos_membership(v: Point, generators, *, ray=None):
+    """Decide v in pos(generators); returns ConicCertificate or FarkasWitness.
+
+    ``ray`` is set by spans_space() alone, from _dependence_rays(): then the
+    solutions x >= 0 of sum x_j g_j = v form a ray, and the certificate is
+    its one vertex, the basic solution the LP would return, with no LP.
+    """
     if is_zero(v):
         raise ZeroPoint("membership target must be nonzero")
     if not generators:
         raise ValueError("generator list must be nonempty")
     _check_dims(generators, len(v))
-    res = lp_feasibility(list(generators), v)
-    if isinstance(res, Feasible):
-        idx = tuple(j for j, c in enumerate(res.coefficients) if c != 0)
-        coeffs = tuple(res.coefficients[j] for j in idx)
-        return ConicCertificate(idx, coeffs, tuple(v))
-    return FarkasWitness(res.witness, tuple(v))
+    if ray is None:
+        res = lp_feasibility(list(generators), v)
+        if not isinstance(res, Feasible):
+            return FarkasWitness(res.witness, tuple(v))
+        coefficients = res.coefficients
+    else:
+        coefficients = _ray_vertex(*ray)
+    idx = tuple(j for j, c in enumerate(coefficients) if c != 0)
+    return ConicCertificate(idx, tuple(coefficients[j] for j in idx), tuple(v))
 
 
 # Process-wide memos of pure functions.  The exhaustive d=2 sweeps ask about
@@ -200,7 +208,11 @@ def spans_space(generators):
 
     Returns a SpanCertificate (conic certificates for every +-e_i) or a
     FarkasWitness whose closed halfspace {x : <w, x> <= 0} contains every
-    generator.
+    generator.  Below rank d the witness is a null_space() normal.  At rank
+    d, d + 1 generators with a strictly one-signed dependence get every
+    certificate from one shared elimination (_dependence_rays()), with no
+    LP.  Any other set runs one pos_membership() LP per direction, up to the
+    first that fails.
     """
     generators = tuple(tuple(g) for g in generators)
     cached = _SPAN_CACHE.get(generators)
@@ -218,10 +230,12 @@ def spans_space(generators):
         target = unit(d, axis, 1 if w[axis] > 0 else -1)
         result = FarkasWitness(w, target)
     else:
+        rays = _dependence_rays(generators, d) if len(generators) == d + 1 else None
+        directions = [unit(d, i) for i in range(d)] + [unit(d, i, -1) for i in range(d)]
         certs = []
         result = None
-        for direction in [unit(d, i) for i in range(d)] + [unit(d, i, -1) for i in range(d)]:
-            res = pos_membership(direction, generators)
+        for direction, ray in zip(directions, rays or [None] * (2 * d)):
+            res = pos_membership(direction, generators, ray=ray)
             if isinstance(res, FarkasWitness):
                 result = res
                 break
@@ -229,6 +243,55 @@ def spans_space(generators):
         if result is None:
             result = SpanCertificate(d, tuple(certs))
     return _remember(_SPAN_CACHE, generators, result)
+
+
+def _one_signed(values) -> bool:
+    """True iff every value is nonzero and all have one sign."""
+    return all(x > 0 for x in values) or all(x < 0 for x in values)
+
+
+def _dependence_rays(generators, d):
+    """For d + 1 generators T of rank d: per direction +e_1..+e_d,
+    -e_1..-e_d, the ints (a, lam, den) with lam > 0 and den > 0 such that
+    the solutions of T x = direction are the line (a + t lam) / den, t real;
+    None unless the dependence lam of T is strictly one-signed, that is,
+    unless T spans.
+
+    One reduced ``_echelon`` of the d x (2d + 1) matrix [T | I_d], read by
+    ``_null_basis``.  Rank T = d puts every pivot in T, so the first null
+    vector is the dependence, with the elimination's den at T's free column,
+    and the one with den at column d + 1 + i is (-y, den e_i) with
+    T y = den e_i.  Multiplying by the sign of den makes lam and den
+    positive.  For each direction, {x >= 0 : T x = direction} is then a ray,
+    and its one vertex is the basic solution that the LP returns.
+    """
+    n = d + 1
+    rows = [[g[i] for g in generators] + [int(i == j) for j in range(d)] for i in range(d)]
+    lam, *solutions = _null_basis(rows, n + d)
+    lam = lam[:n]
+    if not _one_signed(lam):
+        return None
+    s = 1 if lam[0] > 0 else -1  # the sign of den, which lam holds at its free column
+    lam = [s * x for x in lam]
+    den = s * solutions[0][n]
+    plus = [[-s * x for x in u[:n]] for u in solutions]
+    return [(a, lam, den) for a in plus] + [([-x for x in a], lam, den) for a in plus]
+
+
+def _ray_vertex(a, lam, den) -> tuple:
+    """The one vertex of the ray {x >= 0 : x = (a + t lam) / den, t real},
+    for ints with lam > 0 and den > 0: t = -a_k / lam_k for the k that
+    minimises a_j / lam_j, compared by cross-multiplication, so
+    x_j = (a_j lam_k - a_k lam_j) / (den lam_k).  Only these coefficients
+    become Fractions.
+    """
+    k = 0
+    for j in range(1, len(a)):
+        if a[j] * lam[k] < a[k] * lam[j]:
+            k = j
+    ak, lk = a[k], lam[k]
+    q = den * lk
+    return tuple(Fraction(aj * lk - ak * lj, q) for aj, lj in zip(a, lam))
 
 
 def _gale_half_plane(columns, n) -> bool:
@@ -240,26 +303,25 @@ def _gale_half_plane(columns, n) -> bool:
     than n - d vectors.  With rank d it has k = n - d <= 2, and row i of
     this n x k basis is the Gale vector g_i of t_i (Gruenbaum, Convex
     Polytopes, 5.4), so a dependence N lam > 0 exists iff every g_i lies in
-    the open half-plane {g : <lam, g> > 0}.  For k = 1 the rows are padded
-    to (g_i, 0).
+    the open half-plane {g : <lam, g> > 0}.  For k = 1 that reads: all g_i
+    are nonzero and of one sign (_one_signed()).
 
-    Finitely many plane vectors lie in an open half-plane iff some g_j has
-    every g_i strictly counterclockwise of it within pi, cross(g_j, g_i) > 0,
-    or on its ray, cross = 0 and dot(g_j, g_i) > 0.  If they lie in one,
-    take g_j first in angular order from the half-plane's boundary.
-    Conversely, the g_i then lie in an angle below pi starting at g_j, and
-    the half-plane centred on its bisector holds them all.  A zero g_i fails
-    the test, as cross and dot with it are 0; rightly, since every
-    dependence then vanishes at t_i.  For k = 1 the test reads: all g_i are
-    nonzero and of one sign.  Cross and dot are bilinear, so scaling every
-    g_i by the basis's common factor den multiplies both by den^2 > 0: the
-    sign of den does not matter.
+    For k = 2, finitely many plane vectors lie in an open half-plane iff
+    some g_j has every g_i strictly counterclockwise of it within pi,
+    cross(g_j, g_i) > 0, or on its ray, cross = 0 and dot(g_j, g_i) > 0.
+    If they lie in one, take g_j first in angular order from the
+    half-plane's boundary.  Conversely, the g_i then lie in an angle below
+    pi starting at g_j, and the half-plane centred on its bisector holds
+    them all.  A zero g_i fails the test, as cross and dot with it are 0;
+    rightly, since every dependence then vanishes at t_i.  Cross and dot
+    are bilinear, so scaling every g_i by the basis's common factor den
+    multiplies both by den^2 > 0: the sign of den does not matter.
     """
     basis = _null_basis(columns, n)
     if len(basis) > n - len(columns):
         return False
     if len(basis) == 1:
-        basis.append([0] * n)
+        return _one_signed(basis[0])
     gale = list(zip(*basis))
     return any(
         all(

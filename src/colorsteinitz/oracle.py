@@ -4,7 +4,8 @@ Exhaustive counts and minima over (partial) transversals and subsets, and
 seeded generators for the two structural families and for random spanning
 systems.  The enumeration shares ``cones.spanning_picks`` with classify's
 witness scan; the references independent of that scan are test-local:
-``_first_spanning_partial`` (certified by the ``spans_space`` LP) and
+``_first_spanning_partial`` (certified by ``reference_spans_space``,
+the LP loop of ``spans_space`` without its dependence path) and
 ``reference_spanning`` (rank and LP only).
 """
 

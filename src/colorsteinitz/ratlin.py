@@ -10,8 +10,8 @@ on ``int`` only and never with ``/``.  ``_echelon`` scales each row to
 coprime integers and pivots forward (``rank``) or Gauss-Jordan (``rref``,
 ``_null_basis``, ``solve_columns``); only the final integers become
 Fractions.  ``_null_basis`` is the one place that reads null vectors off the
-reduced form, for ``null_space``, the Gale vectors of ``cones`` and the hull
-normals of ``steinitz``.  ``lp_feasibility`` is a simplex on a tableau whose
+reduced form, for ``null_space``, the Gale vectors and dependence rays of
+``cones`` and the hull normals of ``steinitz``.  ``lp_feasibility`` is a simplex on a tableau whose
 columns are scaled to integers, pivoted by the same step.  A positive column
 scaling keeps the pivots of Bland's rule, so the simplex returns exactly the
 coefficients and witnesses of a Fraction tableau, as Fractions.

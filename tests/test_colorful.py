@@ -22,7 +22,7 @@ from colorsteinitz.colorful import (
     structural_bcase,
     structural_pcase,
 )
-from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning, spans_space
+from colorsteinitz.cones import SpanCertificate, clear_span_cache, spanning
 from colorsteinitz.errors import DimensionMismatch, NotSpanning, ZeroPoint
 from colorsteinitz.oracle import (
     _transform_system,
@@ -35,7 +35,7 @@ from colorsteinitz.oracle import (
 )
 from colorsteinitz.ratlin import integer_ray, neg, same_ray
 
-from conftest import pt as P, simplex, units
+from conftest import pt as P, reference_spans_space, simplex, units
 
 
 def bcase2():
@@ -382,13 +382,16 @@ class TestFindSmallTransversal:
 
 def _first_spanning_partial(system):
     """Brute-force reference: the first partial transversal, in (size,
-    colours, element) order, that spans_space certifies."""
+    colours, element) order, that the LP-only reference_spans_space
+    certifies; each certificate it accepts must verify."""
     d = system.dim
     for k in range(1, 2 * d + 1):
         for colours in combinations(range(2 * d), k):
             for elements in product(*(range(len(system.sets[c])) for c in colours)):
                 pts = tuple(system.sets[c][e] for c, e in zip(colours, elements))
-                if isinstance(spans_space(pts), SpanCertificate):
+                cert = reference_spans_space(pts)
+                if isinstance(cert, SpanCertificate):
+                    assert cert.verify(pts), pts
                     return tuple(zip(colours, elements))
     return None
 

@@ -13,7 +13,14 @@ import pytest
 import colorsteinitz
 from colorsteinitz import cones
 from colorsteinitz.cli import main
-from colorsteinitz.colorful import ColourSystem, classify, colorful_transversal
+from colorsteinitz.colorful import (
+    BCase,
+    ColourSystem,
+    Neither,
+    PCase,
+    classify,
+    colorful_transversal,
+)
 from colorsteinitz.cones import (
     ConicCertificate,
     FarkasWitness,
@@ -35,7 +42,12 @@ from colorsteinitz.errors import (
     ZeroPoint,
 )
 from colorsteinitz.instancefile import InstanceFile, emit_instance
-from colorsteinitz.oracle import enumerate_report, generate_random
+from colorsteinitz.oracle import (
+    enumerate_report,
+    generate_bcase,
+    generate_pcase,
+    generate_random,
+)
 from colorsteinitz.ratlin import (
     Feasible,
     add,
@@ -53,7 +65,7 @@ from colorsteinitz.ratlin import (
 )
 from colorsteinitz.steinitz import generic_direction, refine_below_2d, steinitz_reduce
 
-from conftest import pt as P, simplex, units
+from conftest import pt as P, reference_spans_space, simplex, units
 
 
 def brute_spanning_2d(points):
@@ -214,6 +226,112 @@ class TestSpansSpace:
             assert spanning(pts) == brute_spanning_2d(pts)
 
 
+def _d_plus_one_sets():
+    """Seeded sets of d + 1 points for d = 1..6, one kind in six each:
+    spanning (the last point minus a positive combination of the others),
+    random, a repeated point, an antipodal pair, rank below d, and a
+    dependence of mixed sign.  Half keep int coordinates; the rest become
+    Fractions, by a positive scale of each point or with random
+    denominators."""
+    rng = random.Random(23)
+    cases = []
+    for d in range(1, 7):
+        for k in range(420):
+            kind = k % 6
+            pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+            if kind in (0, 5):
+                lam = [rng.randint(1, 4) for _ in range(d)]
+                if kind == 5:
+                    lam[rng.randrange(d)] *= -1
+                pts.append(tuple(-sum(c * p[i] for c, p in zip(lam, pts)) for i in range(d)))
+            elif kind == 1:
+                pts.append(tuple(rng.randint(-3, 3) for _ in range(d)))
+            elif kind == 2:
+                pts.append(rng.choice(pts))
+            elif kind == 3:
+                pts.append(neg(rng.choice(pts)))
+            else:  # on the hyperplane x_d = 0
+                pts = [p[:-1] + (0,) for p in pts + [pts[0]]]
+                pts[-1] = tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (0,)
+            if k % 4 == 1:
+                pts = [scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)), p) for p in pts]
+            elif k % 4 == 3:
+                pts = [tuple(Fraction(x, rng.randint(1, 3)) for x in p) for p in pts]
+            cases.append(tuple(pts))
+    return cases
+
+
+class TestDependenceCertificates:
+    """spans_space() on d + 1 points of rank d with a one-signed dependence
+    takes every certificate from one elimination, with no LP."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+
+        def counting(cols, target):
+            calls.append(len(cols))
+            return lp_feasibility(cols, target)
+
+        monkeypatch.setattr(cones, "lp_feasibility", counting)
+        return calls
+
+    def test_same_certificates_as_the_lp_loop(self):
+        cases = _d_plus_one_sets()
+        assert len(cases) >= 2500
+        kinds = []
+        for pts in cases:
+            clear_span_cache()
+            got = spans_space(pts)
+            assert repr(got) == repr(reference_spans_space(pts)), pts
+            assert got.verify(pts), pts
+            full = rank(pts) == len(pts[0])
+            kinds.append((full, isinstance(got, SpanCertificate)))
+        assert kinds.count((True, True)) >= 500
+        assert kinds.count((True, False)) >= 500
+        assert kinds.count((False, False)) >= 300
+
+    def test_classify_makes_no_lp(self, lp_calls):
+        systems = [generate_random(d, seed=seed) for d in (3, 4, 5) for seed in range(4)]
+        structural = [
+            make(d, transform_seed=seed)
+            for make in (generate_bcase, generate_pcase)
+            for d in (3, 4)
+            for seed in (0, 1)
+        ]
+        lp_calls.clear()  # count classify alone, not the generators
+        answers = []
+        for system in systems + structural:
+            clear_span_cache()
+            res = classify(system)
+            if isinstance(res, Neither):
+                assert res.certificate.verify(res.witness.points(system))
+            answers.append(type(res))
+        assert lp_calls == []
+        assert answers == [Neither] * 12 + [BCase] * 4 + [PCase] * 4
+
+    def test_simplices_make_no_lp(self, lp_calls):
+        clear_span_cache()
+        for d in range(1, 7):
+            cert = spans_space(simplex(d))
+            assert isinstance(cert, SpanCertificate)
+            assert cert.verify(simplex(d))
+        assert lp_calls == []
+
+    def test_other_sets_take_the_lp_path(self, lp_calls):
+        clear_span_cache()
+        for d in range(1, 5):
+            pts = simplex(d) + (P(*[1] * d),)  # d + 2 points that span
+            cert = spans_space(pts)
+            assert isinstance(cert, SpanCertificate) and cert.verify(pts)
+        assert lp_calls == [d + 2 for d in range(1, 5) for _ in range(2 * d)]
+        lp_calls.clear()
+        pts = (P(1, 0), P(0, 1), P(1, 1))  # rank 2, dependence (1, 1, -1)
+        res = spans_space(pts)
+        assert isinstance(res, FarkasWitness) and res.verify(pts)
+        assert lp_calls == [3, 3, 3]
+
+
 def _random_point(rng, d, fractional):
     if fractional:
         return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
@@ -318,12 +436,17 @@ def _gale_shapes(points):
 
 class TestSpanningDecision:
     def test_agrees_with_spans_space(self):
+        # spanning()'s Gale test and spans_space()'s (d+1)-point path both
+        # read the sign of one dependence, so the reference is the LP loop
         clear_span_cache()
         cases = _decision_inputs()
         assert len(cases) >= 300
         decisions = []
         for pts in cases:
             decided = spanning(pts)
+            cert = reference_spans_space(pts)
+            assert decided == isinstance(cert, SpanCertificate), pts
+            assert cert.verify(pts), pts
             assert decided == isinstance(spans_space(pts), SpanCertificate), pts
             decisions.append(decided)
         assert 50 <= sum(decisions) <= len(decisions) - 50

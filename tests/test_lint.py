@@ -133,7 +133,14 @@ INT_KERNELS = {
         "solve_columns",
         "lp_feasibility",
     ),
-    "cones.py": ("nearest_cone_point", "spanning", "_gale_half_plane"),
+    "cones.py": (
+        "nearest_cone_point",
+        "spanning",
+        "_gale_half_plane",
+        "_one_signed",
+        "_dependence_rays",
+        "_ray_vertex",
+    ),
     "steinitz.py": ("generic_direction", "_hull_test"),
     "checkcert.py": ("_rational", "_parse_point", "_combination", "_reproduces", "check_block"),
 }
