@@ -8,32 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import certio
-from .colorful import (
-    BCase,
-    ColourSystem,
-    Neither,
-    PCase,
-    _pivoted_transversal,
-    classify,
-    colorful_transversal,
-)
+from .colorful import BCase, ColourSystem, Neither, PCase, _pivoted_transversal, classify
 from .cones import DEFAULT_BUDGET, refute_spanning, spanning
 from .errors import BudgetExceeded, GeometryError, NotSpanning, ParseError
 from .instancefile import InstanceFile, emit_instance, parse_instance
-from .oracle import (
-    count_spanning_transversals,
-    generate,
-    min_spanning_partial_size,
-)
+from .oracle import count_spanning_transversals, generate, min_spanning_partial_size
 from .ratlin import format_point
-from .steinitz import (
-    BasisCaseWitness,
-    basis_case,
-    refine_below_2d,
-    steinitz_reduce,
-)
+from .steinitz import BasisCaseWitness, basis_case, refine_below_2d, steinitz_reduce
 
 
 def _load(path) -> InstanceFile:
@@ -41,95 +25,93 @@ def _load(path) -> InstanceFile:
         return parse_instance(fh.read())
 
 
-def _system(instance: InstanceFile) -> ColourSystem:
+def _system(path) -> ColourSystem:
+    instance = _load(path)
     if len(instance.sets) != 2 * instance.dim:
         raise ParseError(
-            f"command needs a colour system with {2 * instance.dim} sets, "
-            f"got {len(instance.sets)}"
+            f"command needs a colour system with {2 * instance.dim} sets, got {len(instance.sets)}"
         )
     return ColourSystem(instance.dim, instance.sets)
 
 
-def _single_set(instance: InstanceFile):
+def _single_set(path):
+    instance = _load(path)
     if len(instance.sets) != 1:
         raise ParseError("command needs a single-set instance")
     return list(instance.sets[0])
 
 
-def _write_cert(path, text):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _report_subset(verb, bound, points, result, cert_path):
+    """Print the subset result.indices of points; write its span certificate."""
+    print(f"{verb} to {len(result.indices)} points (bound {bound})")
+    for i in result.indices:
+        print(f"  [{i}] {format_point(points[i])}")
+    if cert_path:
+        chosen = [points[i] for i in result.indices]
+        _write(cert_path, certio.render_span(result.certificate, chosen))
+
+
+def _report_transversal(system, tv, certificate, cert_path, indent=""):
+    """Print the picks of tv; write its transversal certificate."""
+    for c, e in tv.picks:
+        print(f"{indent}colour {c + 1} -> point {e + 1} : {format_point(system.sets[c][e])}")
+    if cert_path:
+        _write(cert_path, certio.render_transversal(tv.picks, certificate, tv.points(system)))
 
 
 def cmd_verify(args):
-    instance = _load(args.instance)
     bad = False
-    for i, s in enumerate(instance.sets):
+    for i, s in enumerate(_load(args.instance).sets):
         if spanning(s):
             print(f"set {i + 1}: spans")
         else:
-            w = refute_spanning(s).w
-            print(f"set {i + 1}: NOT spanning, witness w = {format_point(w)}")
+            print(f"set {i + 1}: NOT spanning, witness w = {format_point(refute_spanning(s).w)}")
             bad = True
     return 1 if bad else 0
 
 
 def cmd_reduce(args):
-    points = _single_set(_load(args.instance))
+    points = _single_set(args.instance)
     d = len(points[0])
     reduced = steinitz_reduce(points)
-    print(f"reduced to {len(reduced.indices)} points (bound {2 * d})")
-    for i in reduced.indices:
-        print(f"  [{i}] {format_point(points[i])}")
+    _report_subset("reduced", 2 * d, points, reduced, args.cert)
     if len(reduced.indices) == 2 * d and basis_case(points) is not None:
         print("note: basis case, no spanning subset of size 2d-1 exists")
-    chosen = tuple(points[i] for i in reduced.indices)
-    _write_cert(args.cert, certio.render_span(reduced.certificate, chosen))
     return 0
 
 
 def cmd_refine(args):
-    points = _single_set(_load(args.instance))
-    d = len(points[0])
+    points = _single_set(args.instance)
     res = refine_below_2d(points)
     if isinstance(res, BasisCaseWitness):
         print("basis case: the rays are exactly +-e_1..+-e_d for the basis")
         for e in res.basis:
             print(f"  {format_point(e)}")
-        return 0
-    print(f"refined to {len(res.indices)} points (bound {2 * d - 1})")
-    for i in res.indices:
-        print(f"  [{i}] {format_point(points[i])}")
-    chosen = tuple(points[i] for i in res.indices)
-    _write_cert(args.cert, certio.render_span(res.certificate, chosen))
+    else:
+        _report_subset("refined", 2 * len(points[0]) - 1, points, res, args.cert)
     return 0
 
 
-def _print_trace(label, result):
-    print(f"trace {label}: initial sqdist {result.initial_sqdist}")
-    for step in result.trace:
-        print(
-            f"pivot colour={step.colour} enter={step.entering_index} "
-            f"sqdist={step.sqdist}"
-        )
-
-
 def cmd_transversal(args):
-    instance = _load(args.instance)
-    system = _system(instance)
+    system = _system(args.instance)
     tv, cert, first, second = _pivoted_transversal(system)
     if args.trace:
-        _print_trace("forward", first)
-        _print_trace("backward", second)
-    for c, e in tv.picks:
-        print(f"colour {c + 1} -> point {e + 1} : {format_point(system.sets[c][e])}")
-    _write_cert(args.cert, certio.render_transversal(tv.picks, cert, tv.points(system)))
+        for label, pivot in (("forward", first), ("backward", second)):
+            print(f"trace {label}: initial sqdist {pivot.initial_sqdist}")
+            for step in pivot.trace:
+                print(f"pivot colour={step.colour} enter={step.entering_index} "
+                      f"sqdist={step.sqdist}")
+    _report_transversal(system, tv, cert, args.cert)
     return 0
 
 
 def cmd_classify(args):
-    system = _system(_load(args.instance))
+    system = _system(args.instance)
     result = classify(system)
     if isinstance(result, BCase):
         print("BCase")
@@ -144,41 +126,24 @@ def cmd_classify(args):
     else:
         assert isinstance(result, Neither)
         print("Neither")
-        for c, e in result.witness.picks:
-            print(f"  colour {c + 1} -> point {e + 1} : {format_point(system.sets[c][e])}")
-        _write_cert(
-            args.cert,
-            certio.render_transversal(
-                result.witness.picks, result.certificate, result.witness.points(system)
-            ),
-        )
+        _report_transversal(system, result.witness, result.certificate, args.cert, "  ")
     return 0
 
 
-def cmd_count(args):
-    system = _system(_load(args.instance))
-    print(count_spanning_transversals(system, budget=args.budget))
+def _print_oracle(oracle, args):
+    print(oracle(_system(args.instance), budget=args.budget))
     return 0
 
 
-def cmd_minsize(args):
-    system = _system(_load(args.instance))
-    print(min_spanning_partial_size(system, budget=args.budget))
-    return 0
+cmd_count = partial(_print_oracle, count_spanning_transversals)
+cmd_minsize = partial(_print_oracle, min_spanning_partial_size)
 
 
 def cmd_generate(args):
     system = generate(
-        args.kind,
-        args.dim,
-        sizes=args.sizes,
-        seed=args.seed,
-        transform_seed=args.transform_seed,
+        args.kind, args.dim, sizes=args.sizes, seed=args.seed, transform_seed=args.transform_seed
     )
-    instance = InstanceFile(system.dim, system.sets, ("",) * len(system.sets))
-    text = emit_instance(instance)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(args.out, emit_instance(InstanceFile(system.dim, system.sets, ("",) * len(system.sets))))
     print(f"wrote {args.out}")
     return 0
 
@@ -216,14 +181,42 @@ def _render_svg(system: ColourSystem, tv):
 
 
 def cmd_plot(args):
-    system = _system(_load(args.instance))
+    system = _system(args.instance)
     if system.dim != 2:
         raise ParseError("plot supports dimension 2 only")
-    tv, _ = colorful_transversal(system)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(_render_svg(system, tv))
+    _write(args.out, _render_svg(system, _pivoted_transversal(system)[0]))
     print(f"wrote {args.out}")
     return 0
+
+
+_INSTANCE = ("instance", {})
+_OUT = ("out", {})
+_CERT = ("--cert", {})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET,
+                        "help": "most spanning checks to make (default %(default)s)"})
+
+# name, handler, help, (argument, add_argument options); --help keeps this order
+_COMMANDS = (
+    ("verify", cmd_verify, "check that every set positively spans", [_INSTANCE]),
+    ("reduce", cmd_reduce, "spanning subset of size at most 2d",
+     [_INSTANCE, ("--cert", {"help": "write a span certificate here"})]),
+    ("refine", cmd_refine, "spanning subset of size at most 2d-1, or basis case",
+     [_INSTANCE, _CERT]),
+    ("transversal", cmd_transversal, "full spanning transversal",
+     [_INSTANCE, ("--trace", {"action": "store_true", "help": "print the pivot trace"}), _CERT]),
+    ("classify", cmd_classify, "BCase / PCase / Neither with witness", [_INSTANCE, _CERT]),
+    ("count", cmd_count, "number of spanning full transversals", [_INSTANCE, _BUDGET]),
+    ("minsize", cmd_minsize, "smallest spanning partial transversal size", [_INSTANCE, _BUDGET]),
+    ("generate", cmd_generate, "write a generated instance file", [
+        ("kind", {"choices": ["bcase", "pcase", "random"]}),
+        ("dim", {"type": int}),
+        _OUT,
+        ("--seed", {"type": int, "default": 0}),
+        ("--sizes", {"type": int}),
+        ("--transform-seed", {"type": int}),
+    ]),
+    ("plot", cmd_plot, "SVG of the rays and a found transversal (d=2)", [_INSTANCE, _OUT]),
+)
 
 
 def build_parser():
@@ -232,52 +225,11 @@ def build_parser():
         description="exact conic reductions, colorful transversals, and classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, fn, text, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("verify", cmd_verify, help="check that every set positively spans")
-    p.add_argument("instance")
-
-    p = add("reduce", cmd_reduce, help="spanning subset of size at most 2d")
-    p.add_argument("instance")
-    p.add_argument("--cert", default=None, help="write a span certificate here")
-
-    p = add("refine", cmd_refine, help="spanning subset of size at most 2d-1, or basis case")
-    p.add_argument("instance")
-    p.add_argument("--cert", default=None)
-
-    p = add("transversal", cmd_transversal, help="full spanning transversal")
-    p.add_argument("instance")
-    p.add_argument("--trace", action="store_true", help="print the pivot trace")
-    p.add_argument("--cert", default=None)
-
-    p = add("classify", cmd_classify, help="BCase / PCase / Neither with witness")
-    p.add_argument("instance")
-    p.add_argument("--cert", default=None)
-
-    budget_help = "most spanning checks to make (default %(default)s)"
-    p = add("count", cmd_count, help="number of spanning full transversals")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
-
-    p = add("minsize", cmd_minsize, help="smallest spanning partial transversal size")
-    p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=budget_help)
-
-    p = add("generate", cmd_generate, help="write a generated instance file")
-    p.add_argument("kind", choices=["bcase", "pcase", "random"])
-    p.add_argument("dim", type=int)
-    p.add_argument("out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", type=int, default=None)
-    p.add_argument("--transform-seed", type=int, default=None)
-
-    p = add("plot", cmd_plot, help="SVG of the rays and a found transversal (d=2)")
-    p.add_argument("instance")
-    p.add_argument("out")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 

@@ -208,7 +208,8 @@ def spans_space(generators):
 
     Returns a SpanCertificate (conic certificates for every +-e_i) or a
     FarkasWitness whose closed halfspace {x : <w, x> <= 0} contains every
-    generator.  Below rank d the witness is a null_space() normal.  At rank
+    generator.  Below rank d the witness is a null_space() normal w, whose
+    first nonzero entry is positive, with target +e at that entry.  At rank
     d, d + 1 generators with a strictly one-signed dependence get every
     certificate from one shared elimination (_dependence_rays()), with no
     LP.  Any other set runs one pos_membership() LP per direction, up to the
@@ -227,8 +228,7 @@ def spans_space(generators):
     if normals:
         w = normals[0]
         axis = next(i for i in range(d) if w[i] != 0)
-        target = unit(d, axis, 1 if w[axis] > 0 else -1)
-        result = FarkasWitness(w, target)
+        result = FarkasWitness(w, unit(d, axis))
     else:
         rays = _dependence_rays(generators, d) if len(generators) == d + 1 else None
         directions = [unit(d, i) for i in range(d)] + [unit(d, i, -1) for i in range(d)]

@@ -42,7 +42,7 @@ def parse_instance(text: str) -> InstanceFile:
         if fields[0] == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim header", lineno)
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
+            if len(fields) != 2 or not fields[1].isdecimal() or int(fields[1]) < 1:
                 raise ParseError("dim header needs a positive integer", lineno)
             dim = int(fields[1])
         elif fields[0] == "set":

@@ -39,14 +39,9 @@ def parse_rat(text: str) -> Fraction:
     """Parse "p" or "p/q" with the sign on the numerator only."""
     text = text.strip()
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational {text!r}") from exc
-    if "/" in text:
-        den = text.split("/", 1)[1].strip()
-        if den.startswith("-") or den.startswith("+"):
-            raise ParseError(f"malformed rational {text!r}: sign belongs on the numerator")
-    return value
 
 
 def format_point(p: Point) -> str:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorsteinitz import certio
-from colorsteinitz.checkcert import CheckFailure, _rational, _split_blocks, check_text
+from colorsteinitz.checkcert import CheckFailure, _rational, _split_blocks, check_text, main
 from colorsteinitz.colorful import colorful_transversal
 from colorsteinitz.cones import (
     FarkasWitness,
@@ -220,6 +220,25 @@ class TestCheckerSubprocess:
         )
         assert fail.returncode == 1
         assert f"FAIL {bad}" in fail.stdout
+
+
+class TestCheckerMain:
+    """colorsteinitz-check in process: one line per file, exit 1 on any FAIL."""
+
+    def test_valid_file(self, tmp_path, capsys):
+        good = tmp_path / "good.cert"
+        good.write_text(span_cert_text() * 2)
+        assert main([str(good)]) == 0
+        assert capsys.readouterr().out == f"OK {good}: 2 certificate(s)\n"
+
+    def test_tampered_and_missing_files(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cert"
+        bad.write_text(span_cert_text().replace("COEFF 0 1", "COEFF 0 3", 1))
+        missing = tmp_path / "missing.cert"
+        assert main([str(bad)]) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {bad}: ")
+        assert main([str(missing)]) == 1
+        assert capsys.readouterr().out.startswith(f"FAIL {missing}: ")
 
 
 class TestCheckerIndependence:

@@ -1,11 +1,12 @@
 """Command-line behaviour: dispatch, exit codes, determinism."""
 
+import argparse
 from pathlib import Path
 
 import pytest
 
 from colorsteinitz.checkcert import check_text
-from colorsteinitz.cli import main
+from colorsteinitz.cli import build_parser, main
 from colorsteinitz.instancefile import InstanceFile, emit_instance
 from colorsteinitz.oracle import generate_bcase, generate_pcase
 
@@ -275,3 +276,17 @@ class TestUsageErrors:
     def test_wrong_mode(self, tmp_path):
         path = write_single(tmp_path, [P(1, 0), P(0, 1), P(-1, -1)])
         assert main(["classify", path]) == 2
+
+    def test_reduce_needs_a_single_set(self, bcase_path, capsys):
+        assert main(["reduce", bcase_path]) == 2
+        assert capsys.readouterr().err == "error: command needs a single-set instance\n"
+
+
+def test_commands_match_the_readme():
+    """The subcommands of build_parser() are those the README's "Command
+    line" block shows, in the same order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("colorsteinitz ")]
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert shown == list(commands.choices)

@@ -61,6 +61,7 @@ from colorsteinitz.ratlin import (
     scale,
     solve_columns,
     sub,
+    unit,
     zero_point,
 )
 from colorsteinitz.steinitz import generic_direction, refine_below_2d, steinitz_reduce
@@ -199,6 +200,26 @@ class TestSpansSpace:
         res = spans_space([P(1, 1), P(-2, -2), P(3, 3)])
         assert isinstance(res, FarkasWitness)
         assert res.verify([P(1, 1), P(-2, -2), P(3, 3)])
+
+    def test_rank_deficient_target_is_plus_e(self):
+        # a null_space() normal has its first nonzero entry positive, so the
+        # target is +e there: the same witness as reference_spans_space's,
+        # which still takes the sign of that entry
+        rng = random.Random(11)
+        for d in range(1, 5):
+            for _ in range(40):
+                basis = [P(*(rng.randint(-3, 3) for _ in range(d))) for _ in range(d - 1)]
+                pts = []
+                for _ in range(rng.randint(1, d + 2)):
+                    point = zero_point(d)
+                    for b in basis:
+                        point = add(point, scale(rng.randint(-2, 2), b))
+                    pts.append(point)
+                clear_span_cache()
+                res = spans_space(pts)
+                axis = next(i for i, x in enumerate(res.w) if x)
+                assert res.w[axis] > 0 and res.target == unit(d, axis), pts
+                assert res.verify(pts) and repr(res) == repr(reference_spans_space(pts)), pts
 
     def test_spanning_needs_d_plus_one(self):
         rng = random.Random(5)

@@ -72,6 +72,22 @@ class TestParse:
     def test_missing_dim(self):
         with pytest.raises(ParseError):
             parse_instance("set\n1 0\n")
+        with pytest.raises(ParseError, match="missing dim header"):
+            parse_instance("# no header\n")
+
+    @pytest.mark.parametrize("header", ["dim 0", "dim", "dim -1", "dim 2 3", "dim \u00b2"])
+    def test_dim_needs_a_positive_integer(self, header):
+        # "\u00b2" passes str.isdigit but not int(): it must still be a ParseError
+        with pytest.raises(ParseError, match="line 1: dim header needs a positive integer"):
+            parse_instance(header + "\nset\n1\n")
+
+    def test_point_before_dim(self):
+        with pytest.raises(ParseError, match="line 1: point before dim header"):
+            parse_instance("1 0\ndim 2\n")
+
+    def test_no_sets(self):
+        with pytest.raises(ParseError, match="no sets in instance"):
+            parse_instance("dim 2\n")
 
     def test_point_before_set(self):
         with pytest.raises(ParseError, match="before any set"):

@@ -49,6 +49,10 @@ class TestMinSize:
     def test_pcase_needs_all_colours(self):
         assert min_spanning_partial_size(generate_pcase(2)) == 4
 
+    def test_budget_enforced(self):
+        with pytest.raises(BudgetExceeded):
+            min_spanning_partial_size(generate_bcase(2), budget=10)
+
     def test_shared_simplex_without_split(self):
         sys_ = ColourSystem(2, ((P(1, 0), P(0, 1), P(-1, -1)),) * 4)
         assert min_spanning_partial_size(sys_) == 3

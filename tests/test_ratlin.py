@@ -408,8 +408,9 @@ class TestRationalIO:
             parse_rat("1/0")
 
     def test_parse_rejects_sign_on_denominator(self):
-        with pytest.raises(ParseError):
-            parse_rat("1/-2")
+        for text in ("1/-2", "1/+2"):
+            with pytest.raises(ParseError):
+                parse_rat(text)
 
     def test_lowest_terms(self):
         q = parse_rat("4/6")
